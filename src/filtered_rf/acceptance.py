@@ -18,9 +18,9 @@ import numpy as np
 import scipy.integrate
 
 from .filtercorr import (
+    ETA_TOL,
     SensorPipeline,
     calibrate_background,
-    default_eta,
     eta_convergence,
     filtered_g2,
     unfiltered_g2,
@@ -86,9 +86,15 @@ def _dip_fwhm(taus, values):
 
 
 def _g2_zero(emitter, width, beta=0.0):
-    calib = calibrate_background(emitter, width, beta)
-    conv = eta_convergence(emitter, width, beta=beta)
-    return SensorPipeline(emitter, width, 0.0, conv.eta, calib.solved_b).g2_zero()
+    return calibrate_background(emitter, width, beta).pipeline.g2_zero()
+
+
+def _eta_check(emitter, width):
+    """Exact-limit g2(0), its finite-coupling ladder, and their distance
+    relative to max(1, g2)."""
+    value = SensorPipeline(emitter, width).g2_zero()
+    conv = eta_convergence(emitter, width)
+    return value, conv, abs(conv.g2_ref - value) / max(1.0, abs(value))
 
 
 # --- criteria ---------------------------------------------------------------
@@ -176,10 +182,13 @@ def _criterion_6():
 def _criterion_7():
     """Deep-filtering, hard-driving limit of the zero-delay bunching."""
     em = EmitterParams(gamma=1.0, rabi=150.0)
-    conv = eta_convergence(em, 0.005)
-    value = SensorPipeline(em, 0.005, 0.0, conv.eta, 0.0).g2_zero()
-    passed = conv.accepted and abs(value - 3.0) <= 0.2
-    return passed, f"g2(0) = {value:.3f} (target 3.0 +/- 0.2), eta ladder halvings = {conv.halvings}"
+    value, conv, deviation = _eta_check(em, 0.005)
+    unhalved = conv.accepted and conv.halvings == 0
+    passed = unhalved and deviation <= ETA_TOL and abs(value - 3.0) <= 0.2
+    return passed, (
+        f"g2(0) = {value:.3f} (target 3.0 +/- 0.2), eta ladder halvings = {conv.halvings}, "
+        f"ladder vs limit = {deviation:.2e}"
+    )
 
 
 def _criterion_8():
@@ -227,7 +236,8 @@ def _criterion_10():
 
 
 def _criterion_11():
-    """Coupling-halving robustness at every acceptance parameter point."""
+    """Coupling-halving robustness at every acceptance parameter point, and
+    agreement of the finite-coupling ladder with the exact limit."""
     points = [
         (0.5, 150.0),
         (0.5, 23.0),
@@ -241,14 +251,19 @@ def _criterion_11():
         (2.0, 500.0),
         (150.0, 0.005),
     ]
-    worst = 0.0
+    worst = worst_limit = 0.0
     for rabi, width in points:
         em = EmitterParams(gamma=1.0, rabi=rabi)
-        conv = eta_convergence(em, width)
+        _, conv, deviation = _eta_check(em, width)
         if not (conv.accepted and conv.halvings == 0):
             return False, f"eta ladder needed halving at rabi = {rabi}g, width = {width}g"
         worst = max(worst, abs(conv.g2_ref - conv.g2_half) / max(1.0, abs(conv.g2_half)))
-    return worst < 1e-3, f"max relative eta-halving shift = {worst:.2e} over {len(points)} points"
+        worst_limit = max(worst_limit, deviation)
+    passed = worst < ETA_TOL and worst_limit <= ETA_TOL
+    return passed, (
+        f"max relative eta-halving shift = {worst:.2e}, ladder vs exact limit = "
+        f"{worst_limit:.2e} over {len(points)} points"
+    )
 
 
 def _criterion_12():

@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import acceptance
 from .filtercorr import filtered_g2, sweep_point
 from .instrument import GaussianIRF, filter_preset, irf_convolve, spectral_irf_convolve
 from .spectrum import emission_spectrum, filtered_fractions, lorentzian_transmission
@@ -532,6 +531,9 @@ def cmd_fractions(config):
 
 
 def cmd_selftest(config):
+    # Deferred: acceptance pulls in scipy.integrate, which no other command needs.
+    from . import acceptance
+
     results = acceptance.run_all(report=print)
     failures = sum(not r.passed for r in results)
     print(f"{len(results) - failures}/{len(results)} criteria passed")

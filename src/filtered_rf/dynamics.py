@@ -7,6 +7,8 @@ then trace against a probe", so one propagator serves a whole tau grid.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import qmath
@@ -24,9 +26,6 @@ __all__ = [
 CLIP_TOL = 1e-8
 
 DEFAULT_TAU_POINTS = 2001
-
-
-from dataclasses import dataclass
 
 
 @dataclass

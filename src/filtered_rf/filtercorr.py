@@ -3,26 +3,24 @@
 Two damped two-level sensors are attached to the emitter; their decay rate
 plays the role of the filter bandwidth, and the normalized cross
 coincidence of their populations is the filtered g2.  The defining limit
-is vanishing emitter-sensor coupling eta, realized here as a finite-eta
-ladder with a halving convergence check.
+is vanishing emitter-sensor coupling eta, computed here exactly at eta = 0.
 
-Numerical conditioning: steady-state sector populations scale as eta^2 per
-sensor excitation, which for the smallest protocol couplings would sink
-below double precision relative to the unit-trace sector.  All sensor
-solves and propagations therefore run in an exactly rescaled basis, each
-basis state weighted by the inverse of (eta over the slowest relevant
-rate) per sensor excitation: a similarity transform that leaves every
-observable identical while keeping all sectors at comparable magnitude,
-independent of the overall choice of units.
+Sector populations scale as eta^2 per sensor excitation, so all sensor
+solves and propagations run in an exactly rescaled basis, each basis state
+weighted by the inverse of (eta over the slowest relevant rate) per sensor
+excitation.  There the entries that lower the sensor excitation scale as
+eta^2 and all others are independent of eta, so eta = 0 is a finite,
+block-triangular generator.  Finite eta, with the halving check
+:func:`eta_convergence`, remains as an independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from . import qmath
 from .dynamics import default_tau_grid, steady_state, two_time_correlator, _check_taus
@@ -80,16 +78,18 @@ class CorrelationTrace:
 
 @dataclass
 class BackgroundCalibration:
-    """Solved background amplitude b for a requested background fraction."""
+    """Solved background amplitude b for a requested background fraction,
+    with the sensor pipeline at that amplitude."""
 
     beta: float
     solved_b: float
     forward_ratio: float
+    pipeline: "SensorPipeline"
 
 
 @dataclass
 class EtaConvergence:
-    """Outcome of the coupling-halving protocol at one parameter point."""
+    """Outcome of the finite-coupling halving check at one parameter point."""
 
     eta: float
     g2_ref: float
@@ -118,59 +118,68 @@ def _real_part(values, context):
 class SensorPipeline:
     """One assembled two-sensor model at fixed coupling and background.
 
-    Solves the steady state in the sector-rescaled basis at construction;
-    zero-delay quantities are then direct sector sums, and full traces reuse
-    one propagator of the rescaled generator.
+    The generator is built once at the reference coupling m = min(gamma,
+    width) and moved to the sector-rescaled basis, where every entry that
+    lowers the total sensor excitation (back-action and sensor refill) scales
+    as (eta/m)^2 and every other entry is independent of eta.  eta = 0 is the
+    exact vanishing-coupling limit; a finite eta is the same similarity
+    transform of the physical generator.  The steady state is solved at
+    construction; zero-delay quantities are then direct sector sums, and full
+    traces reuse one propagator of the rescaled generator.
     """
 
-    def __init__(self, emitter, filter_width, filter_center=0.0, eta=None, background_b=0.0):
-        if eta is None:
-            eta = default_eta(emitter, filter_width)
+    def __init__(self, emitter, filter_width, filter_center=0.0, eta=0.0, background_b=0.0):
+        eta = float(eta)
+        if not 0.0 <= eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {eta}")
+        reference = min(emitter.gamma, filter_width)
         sensor = SensorConfig(
-            nu=filter_center, width=filter_width, eta=eta, background=background_b
+            nu=filter_center, width=filter_width, eta=reference, background=background_b
         )
         self.emitter = emitter
-        self.eta = float(eta)
+        self.eta = eta
         self.background_b = float(background_b)
         self.model = SystemModel(emitter, (sensor, sensor))
 
-        L = build_liouvillian(self.model)
+        # Rescale base: the coupling in units of the slowest relevant rate,
+        # so the rescaled generator's conditioning is invariant under an
+        # overall change of units.
+        base = eta / reference
         counts = self.model.sensor_excitations()
-        # Sector rescale base: the coupling in units of the slowest relevant
-        # rate.  Using the dimensionless ratio (not eta itself) keeps the
-        # rescaled generator's conditioning invariant under an overall
-        # change of units.
-        self._scale_base = self.eta / min(emitter.gamma, filter_width)
-        state_scale = self._scale_base ** (-counts.astype(float))
-        w = np.kron(state_scale, state_scale)
-        self._state_scale = state_scale
-        self._inv_scale_sq = (1.0 / state_scale) ** 2
-        self.scaled_liouvillian = (w[:, None] * L) * (1.0 / w)[None, :]
+        sector = np.add.outer(counts, counts).reshape(-1)
+        lowering = sector[:, None] < sector[None, :]
+        self.scaled_liouvillian = np.where(lowering, base**2, 1.0) * build_liouvillian(self.model)
 
-        # Uniqueness of the fixed point is structural here (gamma, width,
-        # eta all > 0), so skip the SVD nullity classification, which
-        # misreads the rescaled generator's non-normality as degeneracy.
+        # Uniqueness of the fixed point is structural here (gamma, width > 0;
+        # at eta = 0 the generator is block triangular over sensor sectors
+        # with an emitter-only null space), so skip the SVD nullity
+        # classification, which misreads the rescaled generator's
+        # non-normality as degeneracy.
         v = qmath.steady_vector(self.scaled_liouvillian, check_degeneracy=False)
         rho_scaled = qmath.unvec(v)
-        diag_phys = np.real(np.diag(rho_scaled)) * self._inv_scale_sq
-        trace = diag_phys.sum()
+        diag_scaled = np.real(np.diag(rho_scaled))
+        # Observables in units that stay finite at base = 0: populations in
+        # base^2, the coincidence in base^4.  A state with n sensor
+        # excitations weighs base^(2n) in the physical trace and
+        # base^(2(n-1)) in a population.
+        self._excess_weight = base ** (2.0 * np.clip(counts - 1, 0, None))
+        trace = diag_scaled @ base ** (2.0 * counts)
         self.rho_scaled = rho_scaled / trace
-        diag_phys = diag_phys / trace
+        diag_scaled = diag_scaled / trace
 
-        n1_mask = np.real(np.diag(self.model.sensor_number[0])) > 0.5
-        n2_mask = np.real(np.diag(self.model.sensor_number[1])) > 0.5
-        self.n1_pop = float(diag_phys[n1_mask].sum())
-        self.n2_pop = float(diag_phys[n2_mask].sum())
-        self._coincidence = float(diag_phys[n1_mask & n2_mask].sum())
-        self._n2_mask = n2_mask
+        self._sensor_masks = tuple(np.real(np.diag(n)) > 0.5 for n in self.model.sensor_number)
+        n1_mask, n2_mask = self._sensor_masks
+        self.scaled_populations = tuple(
+            float(diag_scaled[mask] @ self._excess_weight[mask]) for mask in self._sensor_masks
+        )
+        self.n1_pop, self.n2_pop = (base**2 * n for n in self.scaled_populations)
+        self._coincidence = float(diag_scaled[n1_mask & n2_mask].sum())
         self._propagator = None
-
-    def sensor_populations(self):
-        return self.n1_pop, self.n2_pop
 
     def g2_zero(self):
         """Normalized zero-delay coincidence tr[n1 n2 rho] / (<n1><n2>)."""
-        return self._coincidence / (self.n1_pop * self.n2_pop)
+        n1, n2 = self.scaled_populations
+        return self._coincidence / (n1 * n2)
 
     def g2_values(self, taus, jump_sensor=0, probe_sensor=1):
         """Filtered g2 on a tau grid: tr[n_p exp(L tau)(theta_j rho theta_j^dag)]
@@ -181,18 +190,18 @@ class SensorPipeline:
 
         lower = self.model.sensor_lower[jump_sensor]
         # Scaled frame: D theta D^-1 = base * theta, so the jumped state
-        # D (theta rho theta^dag) D equals base^2 theta rho_scaled theta^dag.
-        x0 = (self._scale_base**2) * (lower @ self.rho_scaled @ lower.conj().T)
+        # D (theta rho theta^dag) D is base^2 theta rho_scaled theta^dag; the
+        # base^2 is absorbed into the units of the numerator.
+        x0 = lower @ self.rho_scaled @ lower.conj().T
         if self._propagator is None:
             self._propagator = qmath.Propagator(self.scaled_liouvillian)
         evolved = self._propagator.apply_grid(qmath.vec(x0), taus)
 
-        probe_mask = np.real(np.diag(self.model.sensor_number[probe_sensor])) > 0.5
         d = self.model.dim
         diag_rows = np.arange(d) * (d + 1)
-        weights = np.where(probe_mask, self._inv_scale_sq, 0.0)
+        weights = np.where(self._sensor_masks[probe_sensor], self._excess_weight, 0.0)
         numerator = weights @ evolved[diag_rows, :]
-        pops = (self.n1_pop, self.n2_pop)
+        pops = self.scaled_populations
         values = _real_part(numerator, "filtered g2") / (pops[jump_sensor] * pops[probe_sensor])
         return values
 
@@ -222,67 +231,51 @@ def unfiltered_g2(emitter, taus=None):
     )
 
 
-def _background_only_population(filter_width, filter_center, eta, background_b):
-    """Steady sensor population with the emitter decoupled, same drive b*eta.
-
-    A single driven, damped two-level sensor; solved in the same rescaled
-    basis for uniformity (the drive scales to strength b, the refill term
-    to eta^2 * width).
-    """
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    number = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    H = filter_center * number + background_b * eta * (lower + lower.conj().T)
-    from .system import dissipator  # local import to avoid cycle at module load
-
-    L = -1j * (qmath.spre(H) - qmath.spost(H)) + dissipator(lower, filter_width)
-    state_scale = np.array([1.0, filter_width / eta])
-    w = np.kron(state_scale, state_scale)
-    Ls = (w[:, None] * L) * (1.0 / w)[None, :]
-    v = qmath.steady_vector(Ls, check_degeneracy=False)
-    diag_phys = np.real(np.diag(qmath.unvec(v))) / state_scale**2
-    return float(diag_phys[1] / diag_phys.sum())
-
-
-def calibrate_background(emitter, filter_width, beta, filter_center=0.0, eta=None, b_max=1.0):
+def calibrate_background(emitter, filter_width, beta, filter_center=0.0):
     """Solve for the background amplitude b giving background fraction beta.
 
     beta is the share of the total detected (sensor) population that the
-    laser background alone would produce; the solve brackets the monotone
-    ratio and refines with Brent's method.
+    laser background alone would produce.  In the vanishing-coupling limit
+    the sensor population is exactly quadratic in b, n(b) = A + B b + C b^2,
+    and the background-alone part C b^2 is a driven, damped sensor in
+    closed form.  A and B take one steady solve each, b is the positive root
+    of (1 - beta) C b^2 - beta B b - beta A = 0, and a third solve at b
+    checks the ratio.  That pipeline comes back with the calibration.
     """
     beta = float(beta)
     if not 0.0 <= beta <= MAX_BACKGROUND:
         raise ValueError(f"beta must lie in [0, {MAX_BACKGROUND}], got {beta}")
+    ideal = SensorPipeline(emitter, filter_width, filter_center)
     if beta == 0.0:
-        return BackgroundCalibration(beta=0.0, solved_b=0.0, forward_ratio=0.0)
-    if eta is None:
-        eta = default_eta(emitter, filter_width)
+        return BackgroundCalibration(beta=0.0, solved_b=0.0, forward_ratio=0.0, pipeline=ideal)
 
-    def ratio(b):
-        if b == 0.0:
-            return 0.0
-        total = SensorPipeline(emitter, filter_width, filter_center, eta, b).n1_pop
-        alone = _background_only_population(filter_width, filter_center, eta, b)
-        return alone / total
-
-    hi = float(b_max)
-    for _ in range(40):
-        if ratio(hi) >= beta:
-            break
-        hi *= 2.0
-    else:
+    # Populations in the pipeline's scaled units, where the background drives
+    # each sensor with strength b * min(gamma, width).
+    A = ideal.scaled_populations[0]
+    if not A > 0.0:
+        # A = 0 forces B = 0 (the cross term needs an emitter field), so the
+        # quadratic has no positive root.
         raise BackgroundCalibrationError(
-            f"background fraction {beta} not bracketed up to b = {hi:.3e}; "
-            "pass a larger b_max"
+            f"background fraction {beta} is unreachable: the emitter adds no sensor "
+            f"population (A = {A:.3e}), so the background alone gives ratio 1"
         )
+    C = min(emitter.gamma, filter_width) ** 2 / (filter_width**2 / 4.0 + filter_center**2)
+    unit = SensorPipeline(emitter, filter_width, filter_center, background_b=1.0)
+    B = unit.scaled_populations[0] - A - C
+    a = (1.0 - beta) * C
+    root = math.sqrt((beta * B) ** 2 + 4.0 * a * beta * A)
+    # Both forms avoid cancellation between beta * B and the root.
+    solved = (beta * B + root) / (2.0 * a) if B >= 0.0 else 2.0 * beta * A / (root - beta * B)
 
-    solved = scipy.optimize.brentq(lambda b: ratio(b) - beta, 0.0, hi, rtol=1e-14)
-    forward = ratio(solved)
+    pipeline = SensorPipeline(emitter, filter_width, filter_center, background_b=solved)
+    forward = C * solved**2 / pipeline.scaled_populations[0]
     if abs(forward - beta) > 1e-6:
         raise BackgroundCalibrationError(
             f"forward check failed: ratio({solved:.6e}) = {forward:.8f} != {beta}"
         )
-    return BackgroundCalibration(beta=beta, solved_b=float(solved), forward_ratio=forward)
+    return BackgroundCalibration(
+        beta=beta, solved_b=solved, forward_ratio=forward, pipeline=pipeline
+    )
 
 
 def eta_convergence(
@@ -294,24 +287,23 @@ def eta_convergence(
     eta0=None,
     tol=ETA_TOL,
     max_halvings=MAX_HALVINGS,
-    _calibration=None,
 ):
-    """Coupling-halving acceptance check for the vanishing-eta limit.
+    """Coupling-halving check of a finite-coupling approximation.
 
-    Accepts when g2 at eta and at eta/2 agree to tol * max(1, g2); on
-    failure the reference coupling is halved, up to max_halvings times.
+    Results come from the exact eta = 0 limit; this ladder is the
+    finite-coupling oracle for it.  Accepts when g2 at eta and at eta/2
+    agree to tol * max(1, g2); on failure the reference coupling is halved,
+    up to max_halvings times.
     """
     if eta0 is None:
         eta0 = default_eta(emitter, filter_width)
-    calibration = _calibration
-    if calibration is None:
-        calibration = calibrate_background(emitter, filter_width, beta, filter_center, eta0)
+    solved_b = calibrate_background(emitter, filter_width, beta, filter_center).solved_b
 
     cache = {}
 
     def g2_at(eta):
         if eta not in cache:
-            pipe = SensorPipeline(emitter, filter_width, filter_center, eta, calibration.solved_b)
+            pipe = SensorPipeline(emitter, filter_width, filter_center, eta, solved_b)
             if tau_probe == 0.0:
                 cache[eta] = pipe.g2_zero()
             else:
@@ -334,13 +326,12 @@ def eta_convergence(
     )
 
 
-def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None, eta=None):
+def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
     """Frequency-filtered g2(tau) of the driven emitter.
 
-    Builds the two-sensor model at the protocol coupling (convergence
-    checked unless eta is forced), calibrates the laser background to the
-    requested fraction beta, and evaluates the normalized sensor
-    coincidence on the tau grid.
+    Calibrates the laser background to the requested fraction beta and
+    evaluates the normalized sensor coincidence on the tau grid, in the
+    exact vanishing-coupling limit.
     """
     if filter_width <= 0.0:
         raise ValueError(f"filter width must be > 0, got {filter_width}")
@@ -353,18 +344,9 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None, e
     if taus is None:
         taus = default_tau_grid(emitter, (filter_width,))
     taus = _check_taus(taus)
-    if eta is not None and eta > 1e-2 * min(emitter.gamma, filter_width):
-        raise ValueError(
-            f"eta = {eta:.3e} is too large for a vanishing-coupling result; "
-            f"need eta <= 1e-2 * min(gamma, width) = {1e-2 * min(emitter.gamma, filter_width):.3e}"
-        )
 
-    calibration = calibrate_background(emitter, filter_width, beta, filter_center, eta)
-    if eta is None:
-        conv = eta_convergence(emitter, filter_width, filter_center, beta, _calibration=calibration)
-        eta = conv.eta
-    pipe = SensorPipeline(emitter, filter_width, filter_center, eta, calibration.solved_b)
-    values = pipe.g2_values(taus)
+    calibration = calibrate_background(emitter, filter_width, beta, filter_center)
+    values = calibration.pipeline.g2_values(taus)
     return CorrelationTrace(
         taus=taus,
         values=values,
@@ -375,7 +357,6 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None, e
             "detuning": emitter.detuning,
             "filter_width": filter_width,
             "filter_center": filter_center,
-            "eta": float(eta),
             "beta": float(beta),
             "background_b": calibration.solved_b,
             "irf_applied": False,
@@ -384,11 +365,8 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None, e
 
 
 def _g2_zero_point(emitter, filter_width, filter_center, beta):
-    """g2(0) at one parameter point, with the full protocol, no propagation."""
-    calibration = calibrate_background(emitter, filter_width, beta, filter_center)
-    conv = eta_convergence(emitter, filter_width, filter_center, beta, _calibration=calibration)
-    pipe = SensorPipeline(emitter, filter_width, filter_center, conv.eta, calibration.solved_b)
-    return pipe.g2_zero()
+    """g2(0) at one parameter point, calibrated, no propagation."""
+    return calibrate_background(emitter, filter_width, beta, filter_center).pipeline.g2_zero()
 
 
 DEFAULT_SWEEP_POINTS = 2001

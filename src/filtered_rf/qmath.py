@@ -32,8 +32,10 @@ __all__ = [
 NULLSPACE_TOL = 1e-10
 
 # Eigenvector condition number above which the propagator abandons the
-# eigenbasis and falls back to scaling-and-squaring.
-COND_LIMIT = 1e12
+# eigenbasis and falls back to scaling-and-squaring.  Defective generators
+# (rabi = gamma/4; a zero-coupling sensor with width = gamma) reach 1e7-1e12
+# through eig, with errors up to 1e-7; below 1e6 errors stay under 1e-12.
+COND_LIMIT = 1e6
 
 
 class SteadyStateError(RuntimeError):

@@ -47,6 +47,16 @@ def bloch_steady_excited(gamma, rabi, detuning=0.0):
     return (rabi**2 / 4.0) / (detuning**2 + gamma**2 / 4.0 + rabi**2 / 2.0)
 
 
+def background_only_population(width, center, eta, b):
+    """Steady population of one sensor driven only by the laser background.
+
+    The sensor is a damped two-level system under the drive
+    b * eta (theta + theta^dag), i.e. the Bloch equations with decay rate
+    width, detuning center and rabi = 2 b eta.
+    """
+    return bloch_steady_excited(width, 2.0 * b * eta, center)
+
+
 def bloch_g2(gamma, rabi, taus, step=2e-4):
     """g2(tau) of the bare emitter from conditional re-excitation.
 

@@ -115,13 +115,14 @@ class TestPropagatorFallback:
 
     def test_exceptional_point_liouvillian(self):
         # rabi = gamma/4 is the exceptional point of the driven-emitter
-        # Liouvillian; roundoff splits the defective pair so the eigenvector
-        # condition number sits below the fallback threshold (~1e8) and the
-        # eig path runs with accuracy ~cond * eps.  The grid result must
-        # still match brute-force expm within that degraded bound.
+        # Liouvillian; roundoff splits the defective pair, leaving an
+        # eigenvector condition number near 1e8, above the fallback
+        # threshold, so the propagator takes the expm path.  The grid result
+        # must match brute-force expm.
         model = SystemModel(EmitterParams(gamma=1.0, rabi=0.25))
         L = build_liouvillian(model)
         prop = qmath.Propagator(L)
+        assert prop.method == "expm"
         v = qmath.vec(np.diag([1.0, 0.0]).astype(complex))
         taus = np.linspace(0.0, 5.0, 7)
         got = prop.apply_grid(v, taus)
