@@ -7,7 +7,7 @@ resonantly driven two-level emitter, computed with the two-sensor
 master-equation method.
 """
 
-from .qmath import Propagator, SteadyStateError, expm_apply, steady_vector
+from .qmath import Propagator, SteadyStateError, steady_vector
 from .system import (
     HBAR_UEV_PS,
     EmitterParams,
@@ -68,7 +68,6 @@ __all__ = [
     "dissipator",
     "Propagator",
     "SteadyStateError",
-    "expm_apply",
     "steady_vector",
     "SteadyState",
     "steady_state",

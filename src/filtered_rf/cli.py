@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .filtercorr import filtered_g2, sweep_point
+from .filtercorr import CorrelationTrace, SensorPipeline, calibrate_background, sweep_point
 from .instrument import GaussianIRF, filter_preset, irf_convolve, spectral_irf_convolve
 from .spectrum import emission_spectrum, filtered_fractions, lorentzian_transmission
 from .system import HBAR_UEV_PS, EmitterParams
@@ -297,20 +298,24 @@ def cmd_g2_trace(config):
     taus = tau_grid(config, emitter, width)
     irf = GaussianIRF(config["irf"]["fwhm_ps"]) if config["irf"]["enabled"] else None
 
-    trace = filtered_g2(emitter, width, center, beta_lo, taus)
+    # Both background bounds calibrate from the one b = 0 pipeline.
+    ideal = SensorPipeline(emitter, width, center)
+    lo_values = calibrate_background(ideal, beta_lo).pipeline.g2_values(taus)
+
+    def smeared(values):
+        return irf_convolve(CorrelationTrace(taus=taus, values=values), irf).values
+
     columns = ["tau_ps", "g2"]
     units = ["ps", "dimensionless"]
-    series = {"g2": trace.values}
+    series = {"g2": lo_values}
     if irf is not None:
-        series["g2_irf"] = irf_convolve(trace, irf).values
+        series["g2_irf"] = smeared(lo_values)
         columns.append("g2_irf")
         units.append("dimensionless")
     if beta_hi > beta_lo:
-        lo_vals = series["g2_irf"] if irf is not None else trace.values
-        hi_trace = filtered_g2(emitter, width, center, beta_hi, taus)
-        hi_vals = irf_convolve(hi_trace, irf).values if irf is not None else hi_trace.values
-        series["g2_lo"] = lo_vals
-        series["g2_hi"] = hi_vals
+        hi_values = calibrate_background(ideal, beta_hi).pipeline.g2_values(taus)
+        series["g2_lo"] = lo_values if irf is None else series["g2_irf"]
+        series["g2_hi"] = hi_values if irf is None else smeared(hi_values)
         columns += ["g2_lo", "g2_hi"]
         units += ["dimensionless", "dimensionless"]
 
@@ -322,25 +327,13 @@ def cmd_g2_trace(config):
     return 0
 
 
-def _sweep_worker(payload):
-    emitter = EmitterParams(**payload["emitter"])
-    irf = GaussianIRF(payload["irf_fwhm"]) if payload["irf_fwhm"] else None
+def _guarded(job):
+    """Run one sweep point; a failure becomes its error string, not a crash."""
+    fn, args = job
     try:
-        row = sweep_point(
-            emitter,
-            payload["axis"],
-            payload["x"],
-            payload["width"],
-            payload["center"],
-            payload["beta_lo"],
-            payload["beta_hi"],
-            irf,
-        )
-        row["error"] = None
-        return row
-    except Exception as exc:  # per-point failure record, not a crash
-        return {"x": payload["x"], "g2_ideal": None, "g2_lo": None, "g2_hi": None,
-                "error": f"{type(exc).__name__}: {exc}"}
+        return fn(*args), None
+    except Exception as exc:  # per-point failure record
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _worker_count():
@@ -356,12 +349,14 @@ def _worker_count():
     return count
 
 
-def _run_parallel(worker, payloads):
-    workers = min(_worker_count(), len(payloads))
+def _run_parallel(fn, arg_tuples):
+    """(result, error) of fn(*args) for each args, in order, over the worker pool."""
+    jobs = [(fn, args) for args in arg_tuples]
+    workers = min(_worker_count(), len(jobs))
     if workers <= 1:
-        return [worker(p) for p in payloads]
+        return [_guarded(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
+        return list(pool.map(_guarded, jobs))
 
 
 def cmd_g2_sweep(config):
@@ -374,43 +369,24 @@ def cmd_g2_sweep(config):
     width = None
     if axis == "rabi":
         width = resolve_filter_width(config, emitter)
-    irf_fwhm = config["irf"]["fwhm_ps"] if config["irf"]["enabled"] else None
-
-    payloads = []
-    for x in values:
-        payloads.append(
-            {
-                "emitter": {
-                    "gamma": emitter.gamma,
-                    "rabi": emitter.rabi,
-                    "detuning": emitter.detuning,
-                    "laser_linewidth": emitter.laser_linewidth,
-                },
-                "axis": "filter_width" if axis == "filter-width" else "rabi",
-                "x": x * emitter.gamma,
-                "width": width,
-                "center": center,
-                "beta_lo": config["background"]["beta_lo"],
-                "beta_hi": config["background"]["beta_hi"],
-                "irf_fwhm": irf_fwhm,
-            }
-        )
-    results = _run_parallel(_sweep_worker, payloads)
+    irf = GaussianIRF(config["irf"]["fwhm_ps"]) if config["irf"]["enabled"] else None
+    library_axis = "filter_width" if axis == "filter-width" else "rabi"
+    beta_lo = config["background"]["beta_lo"]
+    beta_hi = config["background"]["beta_hi"]
+    results = _run_parallel(
+        sweep_point,
+        [
+            (emitter, library_axis, x * emitter.gamma, width, center, beta_lo, beta_hi, irf)
+            for x in values
+        ],
+    )
 
     x_column = "filter_width_over_gamma" if axis == "filter-width" else "rabi_over_gamma"
     rows = []
     failures = 0
-    for x, row in zip(values, results):
-        failures += row["error"] is not None
-        rows.append(
-            {
-                x_column: x,
-                "g2_ideal": row["g2_ideal"],
-                "g2_lo": row["g2_lo"],
-                "g2_hi": row["g2_hi"],
-                "error": row["error"],
-            }
-        )
+    for x, (point, error) in zip(values, results):
+        failures += error is not None
+        rows.append({**(point or {}), x_column: x, "error": error})
     columns = [x_column, "g2_ideal", "g2_lo", "g2_hi", "error"]
     units = ["dimensionless"] * 4 + ["text"]
     write_output("g2-sweep", config, columns, rows, units)
@@ -471,17 +447,6 @@ def cmd_transmission(config):
     return 0
 
 
-def _fractions_worker(payload):
-    emitter = EmitterParams(**payload["emitter"])
-    try:
-        fractions = filtered_fractions(emitter, payload["width"])
-        fractions = {k: float(v) for k, v in fractions.items()}
-        fractions["error"] = None
-        return fractions
-    except Exception as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
 def cmd_fractions(config):
     emitter = build_emitter(config)
     axis = config["sweep"]["axis"] or "filter-width"
@@ -489,41 +454,20 @@ def cmd_fractions(config):
     if axis not in ("filter-width", "rabi"):
         raise ConfigError(f"sweep.axis must be filter-width or rabi, got {axis!r}")
     values = sweep_values(config)
-    width = None
     if axis == "rabi":
         width = resolve_filter_width(config, emitter)
-
-    payloads = []
-    for x in values:
-        em = emitter if axis == "filter-width" else EmitterParams(
-            gamma=emitter.gamma,
-            rabi=x * emitter.gamma,
-            detuning=emitter.detuning,
-            laser_linewidth=emitter.laser_linewidth,
-        )
-        payloads.append(
-            {
-                "emitter": {
-                    "gamma": em.gamma,
-                    "rabi": em.rabi,
-                    "detuning": em.detuning,
-                    "laser_linewidth": em.laser_linewidth,
-                },
-                "width": x * emitter.gamma if axis == "filter-width" else width,
-            }
-        )
-    results = _run_parallel(_fractions_worker, payloads)
+        arg_tuples = [(dataclasses.replace(emitter, rabi=x * emitter.gamma), width) for x in values]
+    else:
+        arg_tuples = [(emitter, x * emitter.gamma) for x in values]
+    results = _run_parallel(filtered_fractions, arg_tuples)
 
     x_column = "filter_width_over_gamma" if axis == "filter-width" else "rabi_over_gamma"
     kinds = ["coherent", "rayleigh", "mollow_red", "mollow_blue", "other"]
     rows = []
     failures = 0
-    for x, res in zip(values, results):
-        failures += res["error"] is not None
-        row = {x_column: x, "error": res["error"]}
-        for kind in kinds:
-            row[kind] = res.get(kind)
-        rows.append(row)
+    for x, (fractions, error) in zip(values, results):
+        failures += error is not None
+        rows.append({**(fractions or {}), x_column: x, "error": error})
     columns = [x_column, *kinds, "error"]
     units = ["dimensionless"] * (len(kinds) + 1) + ["text"]
     write_output("fractions", config, columns, rows, units)

@@ -36,10 +36,10 @@ class SteadyState:
     residual: float
 
 
-def steady_state(liouvillian, clip_tol=CLIP_TOL):
+def steady_state(liouvillian):
     """Steady density operator of a Liouvillian, with physicality checks.
 
-    The raw null vector is hermitized, eigenvalues within -clip_tol of zero
+    The raw null vector is hermitized, eigenvalues within -CLIP_TOL of zero
     are clipped to zero, and the result is renormalized; anything needing a
     larger correction raises.
     """
@@ -48,16 +48,16 @@ def steady_state(liouvillian, clip_tol=CLIP_TOL):
     rho = qmath.unvec(v)
 
     asym = np.linalg.norm(rho - rho.conj().T)
-    if asym > clip_tol:
+    if asym > CLIP_TOL:
         raise qmath.SteadyStateError(
-            f"steady state is not Hermitian: asymmetry {asym:.3e} > {clip_tol:.1e}"
+            f"steady state is not Hermitian: asymmetry {asym:.3e} > {CLIP_TOL:.1e}"
         )
     rho = 0.5 * (rho + rho.conj().T)
 
     vals, vecs = np.linalg.eigh(rho)
-    if vals.min() < -clip_tol:
+    if vals.min() < -CLIP_TOL:
         raise qmath.SteadyStateError(
-            f"steady state is unphysical: eigenvalue {vals.min():.3e} < -{clip_tol:.1e}"
+            f"steady state is unphysical: eigenvalue {vals.min():.3e} < -{CLIP_TOL:.1e}"
         )
     if vals.min() < 0.0:
         vals = np.clip(vals, 0.0, None)

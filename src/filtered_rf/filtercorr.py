@@ -137,6 +137,8 @@ class SensorPipeline:
             nu=filter_center, width=filter_width, eta=reference, background=background_b
         )
         self.emitter = emitter
+        self.filter_width = filter_width
+        self.filter_center = filter_center
         self.eta = eta
         self.background_b = float(background_b)
         self.model = SystemModel(emitter, (sensor, sensor))
@@ -231,27 +233,34 @@ def unfiltered_g2(emitter, taus=None):
     )
 
 
-def calibrate_background(emitter, filter_width, beta, filter_center=0.0):
+def calibrate_background(pipeline, beta):
     """Solve for the background amplitude b giving background fraction beta.
 
-    beta is the share of the total detected (sensor) population that the
-    laser background alone would produce.  In the vanishing-coupling limit
-    the sensor population is exactly quadratic in b, n(b) = A + B b + C b^2,
-    and the background-alone part C b^2 is a driven, damped sensor in
-    closed form.  A and B take one steady solve each, b is the positive root
-    of (1 - beta) C b^2 - beta B b - beta A = 0, and a third solve at b
-    checks the ratio.  That pipeline comes back with the calibration.
+    ``pipeline`` is the b = 0 :class:`SensorPipeline` at eta = 0 of the
+    parameter point; it already holds the emitter, the filter and the
+    population A below.  beta is the share of the total detected (sensor)
+    population that the laser background alone would produce.  In the
+    vanishing-coupling limit the sensor population is exactly quadratic in b,
+    n(b) = A + B b + C b^2, and the background-alone part C b^2 is a driven,
+    damped sensor in closed form.  B takes one more steady solve, b is the
+    positive root of (1 - beta) C b^2 - beta B b - beta A = 0, and a third
+    solve at b checks the ratio.  That pipeline comes back with the
+    calibration; for beta = 0 it is the given pipeline.
     """
     beta = float(beta)
     if not 0.0 <= beta <= MAX_BACKGROUND:
         raise ValueError(f"beta must lie in [0, {MAX_BACKGROUND}], got {beta}")
-    ideal = SensorPipeline(emitter, filter_width, filter_center)
+    if pipeline.background_b != 0.0 or pipeline.eta != 0.0:
+        raise ValueError(
+            "calibrate_background needs the b = 0, eta = 0 pipeline, got "
+            f"b = {pipeline.background_b}, eta = {pipeline.eta}"
+        )
     if beta == 0.0:
-        return BackgroundCalibration(beta=0.0, solved_b=0.0, forward_ratio=0.0, pipeline=ideal)
+        return BackgroundCalibration(beta=0.0, solved_b=0.0, forward_ratio=0.0, pipeline=pipeline)
 
     # Populations in the pipeline's scaled units, where the background drives
     # each sensor with strength b * min(gamma, width).
-    A = ideal.scaled_populations[0]
+    A = pipeline.scaled_populations[0]
     if not A > 0.0:
         # A = 0 forces B = 0 (the cross term needs an emitter field), so the
         # quadratic has no positive root.
@@ -259,22 +268,23 @@ def calibrate_background(emitter, filter_width, beta, filter_center=0.0):
             f"background fraction {beta} is unreachable: the emitter adds no sensor "
             f"population (A = {A:.3e}), so the background alone gives ratio 1"
         )
-    C = min(emitter.gamma, filter_width) ** 2 / (filter_width**2 / 4.0 + filter_center**2)
-    unit = SensorPipeline(emitter, filter_width, filter_center, background_b=1.0)
+    emitter, width, center = pipeline.emitter, pipeline.filter_width, pipeline.filter_center
+    C = min(emitter.gamma, width) ** 2 / (width**2 / 4.0 + center**2)
+    unit = SensorPipeline(emitter, width, center, background_b=1.0)
     B = unit.scaled_populations[0] - A - C
     a = (1.0 - beta) * C
     root = math.sqrt((beta * B) ** 2 + 4.0 * a * beta * A)
     # Both forms avoid cancellation between beta * B and the root.
     solved = (beta * B + root) / (2.0 * a) if B >= 0.0 else 2.0 * beta * A / (root - beta * B)
 
-    pipeline = SensorPipeline(emitter, filter_width, filter_center, background_b=solved)
-    forward = C * solved**2 / pipeline.scaled_populations[0]
+    calibrated = SensorPipeline(emitter, width, center, background_b=solved)
+    forward = C * solved**2 / calibrated.scaled_populations[0]
     if abs(forward - beta) > 1e-6:
         raise BackgroundCalibrationError(
             f"forward check failed: ratio({solved:.6e}) = {forward:.8f} != {beta}"
         )
     return BackgroundCalibration(
-        beta=beta, solved_b=solved, forward_ratio=forward, pipeline=pipeline
+        beta=beta, solved_b=solved, forward_ratio=forward, pipeline=calibrated
     )
 
 
@@ -283,38 +293,34 @@ def eta_convergence(
     filter_width,
     filter_center=0.0,
     beta=0.0,
-    tau_probe=0.0,
     eta0=None,
-    tol=ETA_TOL,
     max_halvings=MAX_HALVINGS,
 ):
     """Coupling-halving check of a finite-coupling approximation.
 
     Results come from the exact eta = 0 limit; this ladder is the
-    finite-coupling oracle for it.  Accepts when g2 at eta and at eta/2
-    agree to tol * max(1, g2); on failure the reference coupling is halved,
-    up to max_halvings times.
+    finite-coupling oracle for it.  Accepts when g2(0) at eta and at eta/2
+    agree to ETA_TOL * max(1, g2); on failure the reference coupling is
+    halved, up to max_halvings times.
     """
     if eta0 is None:
         eta0 = default_eta(emitter, filter_width)
-    solved_b = calibrate_background(emitter, filter_width, beta, filter_center).solved_b
+    ideal = SensorPipeline(emitter, filter_width, filter_center)
+    solved_b = calibrate_background(ideal, beta).solved_b
 
     cache = {}
 
     def g2_at(eta):
         if eta not in cache:
             pipe = SensorPipeline(emitter, filter_width, filter_center, eta, solved_b)
-            if tau_probe == 0.0:
-                cache[eta] = pipe.g2_zero()
-            else:
-                cache[eta] = float(pipe.g2_values(np.array([0.0, tau_probe]))[-1])
+            cache[eta] = pipe.g2_zero()
         return cache[eta]
 
     eta = float(eta0)
     for halvings in range(max_halvings + 1):
         g2_ref = g2_at(eta)
         g2_half = g2_at(eta / 2.0)
-        if abs(g2_ref - g2_half) < tol * max(1.0, abs(g2_half)):
+        if abs(g2_ref - g2_half) < ETA_TOL * max(1.0, abs(g2_half)):
             return EtaConvergence(
                 eta=eta, g2_ref=g2_ref, g2_half=g2_half, accepted=True, halvings=halvings
             )
@@ -345,7 +351,7 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
         taus = default_tau_grid(emitter, (filter_width,))
     taus = _check_taus(taus)
 
-    calibration = calibrate_background(emitter, filter_width, beta, filter_center)
+    calibration = calibrate_background(SensorPipeline(emitter, filter_width, filter_center), beta)
     values = calibration.pipeline.g2_values(taus)
     return CorrelationTrace(
         taus=taus,
@@ -364,25 +370,25 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
     )
 
 
-def _g2_zero_point(emitter, filter_width, filter_center, beta):
-    """g2(0) at one parameter point, calibrated, no propagation."""
-    return calibrate_background(emitter, filter_width, beta, filter_center).pipeline.g2_zero()
-
-
 DEFAULT_SWEEP_POINTS = 2001
 
 
-def _g2_zero_convolved(emitter, filter_width, filter_center, beta, irf):
-    """IRF-smeared g2(0): full trace on an adequate grid, convolved, value at 0."""
+def _g2_zero_convolved(pipeline, irf):
+    """IRF-smeared g2(0) of one pipeline.
+
+    The tau grid is the one a full trace at this point would need; the
+    detector kernel centred on tau = 0 reads only the first half + 1 of its
+    points, so only those are propagated.
+    """
     from . import instrument  # deferred: instrument imports CorrelationTrace
 
-    span = default_tau_grid(emitter, (filter_width,))[-1]
+    span = default_tau_grid(pipeline.emitter, (pipeline.filter_width,))[-1]
     span = max(span, 8.0 * irf.fwhm)
     n = max(DEFAULT_SWEEP_POINTS, int(np.ceil(span / (irf.fwhm / 10.0))) + 1)
     taus = np.linspace(0.0, span, n)
-    trace = filtered_g2(emitter, filter_width, filter_center, beta, taus)
-    smeared = instrument.irf_convolve(trace, irf)
-    return float(smeared.values[0])
+    head = taus[: instrument.kernel_half_width(irf.fwhm, taus[1]) + 1]
+    trace = CorrelationTrace(taus=head, values=pipeline.g2_values(head))
+    return float(instrument.irf_convolve(trace, irf).values[0])
 
 
 def sweep_g2_zero(
@@ -422,18 +428,19 @@ def sweep_g2_zero(
 
 
 def sweep_point(emitter, axis, x, filter_width, filter_center, beta_lo, beta_hi, irf):
-    """One sweep row; separated out so callers can farm points to workers."""
+    """One sweep row; separated out so callers can farm points to workers.
+
+    Every value comes from one b = 0 pipeline: g2_ideal directly, each
+    background bound through its calibration from it.
+    """
     if axis == "filter_width":
         em, width = emitter, x
     else:
         em, width = replace(emitter, rabi=x), filter_width
 
-    row = {"x": x, "g2_ideal": _g2_zero_point(em, width, filter_center, 0.0)}
+    ideal = SensorPipeline(em, width, filter_center)
+    row = {"x": x, "g2_ideal": ideal.g2_zero()}
     for key, beta in (("g2_lo", beta_lo), ("g2_hi", beta_hi)):
-        if irf is None:
-            row[key] = row["g2_ideal"] if beta == 0.0 else _g2_zero_point(
-                em, width, filter_center, beta
-            )
-        else:
-            row[key] = _g2_zero_convolved(em, width, filter_center, beta, irf)
+        pipeline = calibrate_background(ideal, beta).pipeline
+        row[key] = pipeline.g2_zero() if irf is None else _g2_zero_convolved(pipeline, irf)
     return row

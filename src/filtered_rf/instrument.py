@@ -98,8 +98,13 @@ def _uniform_spacing(grid, what):
     return float(steps[0])
 
 
+def kernel_half_width(fwhm, dt):
+    """Grid steps the truncated Gaussian kernel reaches on each side of its centre."""
+    return int(math.ceil(_KERNEL_SIGMAS * (fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))) / dt))
+
+
 def _kernel(fwhm, dt):
-    half = int(math.ceil(_KERNEL_SIGMAS * (fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))) / dt))
+    half = kernel_half_width(fwhm, dt)
     x = np.arange(-half, half + 1) * dt
     k = np.exp(-4.0 * math.log(2.0) * (x / fwhm) ** 2)
     return k / k.sum()

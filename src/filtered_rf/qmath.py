@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SteadyStateError",
@@ -23,7 +22,6 @@ __all__ = [
     "spost",
     "sandwich",
     "Propagator",
-    "expm_apply",
     "steady_vector",
 ]
 
@@ -101,7 +99,7 @@ class Propagator:
     ``method`` records which path is active.
     """
 
-    def __init__(self, generator, cond_limit=COND_LIMIT):
+    def __init__(self, generator):
         self.matrix = _as_square(generator, "generator")
         self.method = "expm"
         try:
@@ -109,11 +107,10 @@ class Propagator:
             cond = np.linalg.cond(evecs)
         except np.linalg.LinAlgError:
             cond = np.inf
-        if np.isfinite(cond) and cond <= cond_limit:
+        if np.isfinite(cond) and cond <= COND_LIMIT:
             self.method = "eig"
             self._evals = evals
             self._evecs = evecs
-            self._evecs_lu = scipy.linalg.lu_factor(evecs)
 
     @property
     def dim(self):
@@ -134,12 +131,14 @@ class Propagator:
         if not np.all(np.isfinite(taus)):
             raise ValueError("times contain non-finite entries")
         if self.method == "eig":
-            w = scipy.linalg.lu_solve(self._evecs_lu, v)
+            w = np.linalg.solve(self._evecs, v)
             phases = np.exp(np.outer(self._evals, taus))
             return self._evecs @ (w[:, None] * phases)
         return self._apply_grid_expm(v, taus)
 
     def _apply_grid_expm(self, v, taus):
+        import scipy.linalg  # deferred: only near-defective generators need it
+
         out = np.empty((self.dim, taus.size), dtype=complex)
         steps = np.diff(taus)
         uniform = taus.size > 2 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
@@ -156,19 +155,7 @@ class Propagator:
         return out
 
 
-def expm_apply(liouvillian, v, t):
-    """Return exp(L t) v.
-
-    Convenience wrapper for a single evaluation; when many times are needed
-    for one L, build a :class:`Propagator` and reuse it.
-    """
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    return Propagator(liouvillian).apply(v, t)
-
-
-def steady_vector(liouvillian, nullspace_tol=NULLSPACE_TOL, check_degeneracy=True):
+def steady_vector(liouvillian, check_degeneracy=True):
     """Unit-trace null vector of a Liouvillian.
 
     Solves L v = 0 by replacing one row of L with the trace functional and
@@ -191,11 +178,11 @@ def steady_vector(liouvillian, nullspace_tol=NULLSPACE_TOL, check_degeneracy=Tru
     if check_degeneracy:
         sing = np.linalg.svd(L, compute_uv=False)
         smax = sing[0]
-        nullity = d2 if smax == 0.0 else int(np.sum(sing <= nullspace_tol * smax))
+        nullity = d2 if smax == 0.0 else int(np.sum(sing <= NULLSPACE_TOL * smax))
         if nullity == 0:
             raise SteadyStateError(
                 f"no null vector found: smallest relative singular value "
-                f"{sing[-1] / smax:.3e} exceeds tolerance {nullspace_tol:.1e}"
+                f"{sing[-1] / smax:.3e} exceeds tolerance {NULLSPACE_TOL:.1e}"
             )
         if nullity > 1:
             raise SteadyStateError(f"degenerate null space (dimension {nullity})")
@@ -227,9 +214,9 @@ def steady_vector(liouvillian, nullspace_tol=NULLSPACE_TOL, check_degeneracy=Tru
     v = v / trace
 
     residual = np.linalg.norm(L @ v)
-    if residual > nullspace_tol * norm_L * max(1.0, np.linalg.norm(v)):
+    if residual > NULLSPACE_TOL * norm_L * max(1.0, np.linalg.norm(v)):
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds "
-            f"{nullspace_tol:.1e} * ||L|| = {nullspace_tol * norm_L:.3e}"
+            f"{NULLSPACE_TOL:.1e} * ||L|| = {NULLSPACE_TOL * norm_L:.3e}"
         )
     return v

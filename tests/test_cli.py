@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import filtered_rf
 from filtered_rf.cli import main
 
 
@@ -253,3 +256,14 @@ class TestSelftest:
         }
         assert failing == {5, 6, 8}
         assert out.count("[PASS]") == 9
+
+
+def test_import_loads_no_scipy():
+    # Only the expm fallback and selftest need scipy; a cold CLI start that
+    # takes neither path should not pay for importing it.
+    src = os.path.dirname(os.path.dirname(filtered_rf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, filtered_rf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

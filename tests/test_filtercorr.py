@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filtered_rf import filtercorr
+from filtered_rf.dynamics import default_tau_grid
 from filtered_rf.filtercorr import (
     BackgroundCalibrationError,
     EtaConvergenceError,
@@ -12,10 +14,11 @@ from filtered_rf.filtercorr import (
     eta_convergence,
     filtered_g2,
     sweep_g2_zero,
+    sweep_point,
     unfiltered_g2,
 )
-from filtered_rf.instrument import GaussianIRF
-from filtered_rf.system import EmitterParams
+from filtered_rf.instrument import GaussianIRF, irf_convolve
+from filtered_rf.system import HBAR_UEV_PS, EmitterParams
 
 from oracles import background_only_population, bloch_g2, unfiltered_g2_closed_form
 
@@ -160,8 +163,8 @@ class TestVanishingCouplingLimit:
     def test_unit_scaling_invariance(self, scale, rabi, width, center):
         em = EmitterParams(gamma=1.0, rabi=rabi)
         scaled = EmitterParams(gamma=scale, rabi=rabi * scale)
-        a = calibrate_background(em, width, 0.2, center)
-        b = calibrate_background(scaled, width * scale, 0.2, center * scale)
+        a = calibrate_background(SensorPipeline(em, width, center), 0.2)
+        b = calibrate_background(SensorPipeline(scaled, width * scale, center * scale), 0.2)
         assert b.solved_b == pytest.approx(a.solved_b, rel=1e-9)
         assert b.pipeline.g2_zero() == pytest.approx(a.pipeline.g2_zero(), rel=1e-9, abs=1e-12)
 
@@ -199,11 +202,20 @@ class TestEtaProtocol:
 
 class TestBackgroundCalibration:
     def test_zero_beta_gives_zero_amplitude(self):
-        cal = calibrate_background(WEAK, 1.0, 0.0)
+        pipe = SensorPipeline(WEAK, 1.0)
+        cal = calibrate_background(pipe, 0.0)
         assert cal.solved_b == 0.0
+        assert cal.pipeline is pipe
+
+    def test_rejects_pipeline_with_background_or_coupling(self):
+        # The closed-form root holds for the b = 0 pipeline at eta = 0 only.
+        with pytest.raises(ValueError, match="b = 0"):
+            calibrate_background(SensorPipeline(STRONG, 0.29, 0.0, 0.0, 0.5), 0.1)
+        with pytest.raises(ValueError, match="eta = 0"):
+            calibrate_background(SensorPipeline(STRONG, 0.29, 0.0, default_eta(STRONG, 0.29)), 0.1)
 
     def test_forward_check_at_strong_drive(self):
-        cal = calibrate_background(STRONG, 0.29, 0.2)
+        cal = calibrate_background(SensorPipeline(STRONG, 0.29), 0.2)
         assert abs(cal.forward_ratio - 0.2) < 1e-6
         assert cal.solved_b > 0.0
 
@@ -227,7 +239,7 @@ class TestBackgroundCalibration:
         # finite-eta model: background-only sensor from the Bloch steady
         # state, total population from the physical two-sensor solve.
         em = EmitterParams(gamma=1.0, rabi=rabi)
-        cal = calibrate_background(em, width, beta, center)
+        cal = calibrate_background(SensorPipeline(em, width, center), beta)
         eta = default_eta(em, width)
         total = SensorPipeline(em, width, center, eta, cal.solved_b).n1_pop
         alone = background_only_population(width, center, eta, cal.solved_b)
@@ -236,16 +248,16 @@ class TestBackgroundCalibration:
 
     def test_rejects_beta_outside_range(self):
         with pytest.raises(ValueError):
-            calibrate_background(WEAK, 1.0, 0.25)
+            calibrate_background(SensorPipeline(WEAK, 1.0), 0.25)
         with pytest.raises(ValueError):
-            calibrate_background(WEAK, 1.0, -0.01)
+            calibrate_background(SensorPipeline(WEAK, 1.0), -0.01)
 
     def test_unreachable_beta_raises(self):
         # rabi = 0: all sensor population is background, so the ratio jumps
         # from 0 to ~1 and no amplitude can produce beta = 0.1.
         dark = EmitterParams(gamma=1.0, rabi=0.0)
         with pytest.raises(BackgroundCalibrationError):
-            calibrate_background(dark, 5.0, 0.1)
+            calibrate_background(SensorPipeline(dark, 5.0), 0.1)
 
     def test_pure_background_is_poissonian(self):
         # Emitter dark (rabi = 0), sensors driven only by the background:
@@ -283,6 +295,35 @@ class TestSweep:
         row = rows[0]
         assert row["g2_hi"] > row["g2_lo"]
         assert row["g2_ideal"] > 1.0
+
+    @pytest.mark.parametrize("irf", [None, GaussianIRF(fwhm=1.14)])
+    def test_one_pipeline_per_solve(self, monkeypatch, irf):
+        # b = 0 once, then the b = 1 and forward-check solves of beta = 0.2.
+        built = []
+
+        class CountingPipeline(SensorPipeline):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(filtercorr, "SensorPipeline", CountingPipeline)
+        sweep_point(STRONG, "filter_width", 0.29, None, 0.0, 0.0, 0.2, irf)
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("width", [150.0, 0.0125, 1.0])
+    def test_irf_smear_matches_full_trace(self, width):
+        # The smear propagates only the head of the tau grid that the kernel
+        # at tau = 0 reads; it must equal convolving the whole trace.  At
+        # width = gamma the eta = 0 generator is defective (expm path).
+        gamma = 20.0 / HBAR_UEV_PS
+        em = EmitterParams(gamma=gamma, rabi=0.5 * gamma)
+        irf = GaussianIRF(fwhm=37.5)
+        row = sweep_point(em, "filter_width", width * gamma, None, 0.0, 0.0, 0.2, irf)
+        span = max(default_tau_grid(em, (width * gamma,))[-1], 8.0 * irf.fwhm)
+        taus = np.linspace(0.0, span, max(2001, int(np.ceil(span / (irf.fwhm / 10.0))) + 1))
+        for key, beta in (("g2_lo", 0.0), ("g2_hi", 0.2)):
+            full = filtered_g2(em, width * gamma, beta=beta, taus=taus)
+            assert row[key] == pytest.approx(irf_convolve(full, irf).values[0], abs=1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

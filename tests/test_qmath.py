@@ -68,12 +68,12 @@ class TestExpmApply:
         rng = np.random.default_rng(5)
         L = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         v = rng.normal(size=9) + 1j * rng.normal(size=9)
-        assert np.allclose(qmath.expm_apply(L, v, 0.0), v, atol=1e-14)
+        assert np.allclose(qmath.Propagator(L).apply(v, 0.0), v, atol=1e-14)
 
     def test_diagonal_generator(self):
         lam = np.array([-1.0, -0.5 + 2j, 0.0, -3j])
         v = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        got = qmath.expm_apply(np.diag(lam), v, 0.7)
+        got = qmath.Propagator(np.diag(lam)).apply(v, 0.7)
         assert np.allclose(got, v * np.exp(lam * 0.7), rtol=1e-12)
 
     def test_matches_rk4_oracle(self):
@@ -81,7 +81,7 @@ class TestExpmApply:
         L = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         expected = rk4_matrix_ode(L, v, 0.3, step=1e-4)
-        got = qmath.expm_apply(L, v, 0.3)
+        got = qmath.Propagator(L).apply(v, 0.3)
         assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-7
 
     def test_semigroup_property(self):
@@ -93,15 +93,11 @@ class TestExpmApply:
         twice = prop.apply(prop.apply(v, 0.5), 0.3)
         assert np.linalg.norm(once - twice) / np.linalg.norm(once) < 1e-9
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            qmath.expm_apply(np.eye(2), np.ones(2), -1.0)
-
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
-            qmath.expm_apply(np.eye(2) * np.nan, np.ones(2), 1.0)
+            qmath.Propagator(np.eye(2) * np.nan)
         with pytest.raises(ValueError):
-            qmath.expm_apply(np.eye(2), np.array([np.inf, 1.0]), 1.0)
+            qmath.Propagator(np.eye(2)).apply(np.array([np.inf, 1.0]), 1.0)
 
 
 class TestPropagatorFallback:
