@@ -17,9 +17,7 @@ import argparse
 import copy
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -27,8 +25,6 @@ from .filtercorr import CorrelationTrace, SensorPipeline, calibrate_background, 
 from .instrument import GaussianIRF, filter_preset, irf_convolve, spectral_irf_convolve
 from .spectrum import emission_spectrum, filtered_fractions, lorentzian_transmission
 from .system import HBAR_UEV_PS, EmitterParams
-
-WORKERS_ENV = "FILTERED_RF_WORKERS"
 
 DEFAULTS = {
     "emitter": {
@@ -327,70 +323,50 @@ def cmd_g2_trace(config):
     return 0
 
 
-def _guarded(job):
-    """Run one sweep point; a failure becomes its error string, not a crash."""
-    fn, args = job
-    try:
-        return fn(*args), None
-    except Exception as exc:  # per-point failure record
-        return None, f"{type(exc).__name__}: {exc}"
+def _run_sweep(subcommand, config, columns, point):
+    """The g2-sweep and fractions loop: one row per sweep value, in order.
 
-
-def _worker_count():
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {count}")
-    return count
-
-
-def _run_parallel(fn, arg_tuples):
-    """(result, error) of fn(*args) for each args, in order, over the worker pool."""
-    jobs = [(fn, args) for args in arg_tuples]
-    workers = min(_worker_count(), len(jobs))
-    if workers <= 1:
-        return [_guarded(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_guarded, jobs))
-
-
-def cmd_g2_sweep(config):
+    The axis is resolved once; each value becomes an (emitter, filter width)
+    pair, and ``point(emitter, width)`` returns the row's columns.  A failing
+    point records "<Type>: <message>" in its error column instead of stopping
+    the sweep, and any failure makes the exit code 2.
+    """
     emitter = build_emitter(config)
     axis = config["sweep"]["axis"]
     if axis not in ("filter-width", "rabi"):
         raise ConfigError(f"sweep.axis must be filter-width or rabi, got {axis!r}")
     values = sweep_values(config)
-    center = config["filter"]["center_over_gamma"] * emitter.gamma
-    width = None
     if axis == "rabi":
         width = resolve_filter_width(config, emitter)
-    irf = GaussianIRF(config["irf"]["fwhm_ps"]) if config["irf"]["enabled"] else None
-    library_axis = "filter_width" if axis == "filter-width" else "rabi"
+        x_column = "rabi_over_gamma"
+        points = [(dataclasses.replace(emitter, rabi=x * emitter.gamma), width) for x in values]
+    else:
+        x_column = "filter_width_over_gamma"
+        points = [(emitter, x * emitter.gamma) for x in values]
+
+    rows = []
+    for x, args in zip(values, points):
+        try:
+            row, error = point(*args), None
+        except Exception as exc:  # per-point failure record
+            row, error = {}, f"{type(exc).__name__}: {exc}"
+        rows.append({**row, x_column: x, "error": error})
+    columns = [x_column, *columns, "error"]
+    units = ["dimensionless"] * (len(columns) - 1) + ["text"]
+    write_output(subcommand, config, columns, rows, units)
+    return 2 if any(row["error"] for row in rows) else 0
+
+
+def cmd_g2_sweep(config):
     beta_lo = config["background"]["beta_lo"]
     beta_hi = config["background"]["beta_hi"]
-    results = _run_parallel(
-        sweep_point,
-        [
-            (emitter, library_axis, x * emitter.gamma, width, center, beta_lo, beta_hi, irf)
-            for x in values
-        ],
-    )
+    irf = GaussianIRF(config["irf"]["fwhm_ps"]) if config["irf"]["enabled"] else None
 
-    x_column = "filter_width_over_gamma" if axis == "filter-width" else "rabi_over_gamma"
-    rows = []
-    failures = 0
-    for x, (point, error) in zip(values, results):
-        failures += error is not None
-        rows.append({**(point or {}), x_column: x, "error": error})
-    columns = [x_column, "g2_ideal", "g2_lo", "g2_hi", "error"]
-    units = ["dimensionless"] * 4 + ["text"]
-    write_output("g2-sweep", config, columns, rows, units)
-    return 2 if failures else 0
+    def point(emitter, width):
+        center = config["filter"]["center_over_gamma"] * emitter.gamma
+        return sweep_point(emitter, "filter_width", width, None, center, beta_lo, beta_hi, irf)
+
+    return _run_sweep("g2-sweep", config, ["g2_ideal", "g2_lo", "g2_hi"], point)
 
 
 def cmd_spectrum(config):
@@ -448,30 +424,9 @@ def cmd_transmission(config):
 
 
 def cmd_fractions(config):
-    emitter = build_emitter(config)
-    axis = config["sweep"]["axis"] or "filter-width"
-    config["sweep"]["axis"] = axis
-    if axis not in ("filter-width", "rabi"):
-        raise ConfigError(f"sweep.axis must be filter-width or rabi, got {axis!r}")
-    values = sweep_values(config)
-    if axis == "rabi":
-        width = resolve_filter_width(config, emitter)
-        arg_tuples = [(dataclasses.replace(emitter, rabi=x * emitter.gamma), width) for x in values]
-    else:
-        arg_tuples = [(emitter, x * emitter.gamma) for x in values]
-    results = _run_parallel(filtered_fractions, arg_tuples)
-
-    x_column = "filter_width_over_gamma" if axis == "filter-width" else "rabi_over_gamma"
+    config["sweep"]["axis"] = config["sweep"]["axis"] or "filter-width"
     kinds = ["coherent", "rayleigh", "mollow_red", "mollow_blue", "other"]
-    rows = []
-    failures = 0
-    for x, (fractions, error) in zip(values, results):
-        failures += error is not None
-        rows.append({**(fractions or {}), x_column: x, "error": error})
-    columns = [x_column, *kinds, "error"]
-    units = ["dimensionless"] * (len(kinds) + 1) + ["text"]
-    write_output("fractions", config, columns, rows, units)
-    return 2 if failures else 0
+    return _run_sweep("fractions", config, kinds, filtered_fractions)
 
 
 def cmd_selftest(config):

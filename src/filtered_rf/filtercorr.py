@@ -7,7 +7,7 @@ is vanishing emitter-sensor coupling eta, computed here exactly at eta = 0.
 
 Sector populations scale as eta^2 per sensor excitation, so all sensor
 solves and propagations run in an exactly rescaled basis, each basis state
-weighted by the inverse of (eta over the slowest relevant rate) per sensor
+weighted by the inverse of (eta over the filter's response rate) per sensor
 excitation.  There the entries that lower the sensor excitation scale as
 eta^2 and all others are independent of eta, so eta = 0 is a finite,
 block-triangular generator.  Finite eta, with the halving check
@@ -103,36 +103,38 @@ def default_eta(emitter, filter_width):
     return DEFAULT_ETA_FACTOR * min(emitter.gamma, filter_width)
 
 
-def _real_part(values, context):
-    values = np.asarray(values)
-    scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 1.0)
-    worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if worst > IMAG_TOL * scale:
+def _real_part(g2, context):
+    """Real part of a normalized complex g2, whose imaginary part must vanish
+    to IMAG_TOL * max(1, |g2|) at every delay."""
+    g2 = np.asarray(g2)
+    worst = float(np.max(np.abs(g2.imag) / np.maximum(1.0, np.abs(g2)), initial=0.0))
+    if worst > IMAG_TOL:
         raise RuntimeError(
-            f"{context}: imaginary part {worst:.3e} exceeds {IMAG_TOL:.1e} "
+            f"{context}: imaginary part {worst:.3e} of max(1, |g2|) exceeds {IMAG_TOL:.1e} "
             "(convention bug or numerical breakdown)"
         )
-    return values.real.copy()
+    return g2.real.copy()
 
 
 class SensorPipeline:
     """One assembled two-sensor model at fixed coupling and background.
 
-    The generator is built once at the reference coupling m = min(gamma,
-    width) and moved to the sector-rescaled basis, where every entry that
-    lowers the total sensor excitation (back-action and sensor refill) scales
-    as (eta/m)^2 and every other entry is independent of eta.  eta = 0 is the
-    exact vanishing-coupling limit; a finite eta is the same similarity
-    transform of the physical generator.  The steady state is solved at
-    construction; zero-delay quantities are then direct sector sums, and full
-    traces reuse one propagator of the rescaled generator.
+    The generator is built once at the reference coupling m = |width/2 +
+    i center|, the filter's response rate, and moved to the sector-rescaled
+    basis, where every entry that lowers the total sensor excitation
+    (back-action and sensor refill) scales as (eta/m)^2 and every other entry
+    is independent of eta.  eta = 0 is the exact vanishing-coupling limit; a
+    finite eta is the same similarity transform of the physical generator.
+    The steady state is solved at construction; zero-delay quantities are
+    then direct sector sums, and full traces reuse one propagator of the
+    rescaled generator.
     """
 
     def __init__(self, emitter, filter_width, filter_center=0.0, eta=0.0, background_b=0.0):
         eta = float(eta)
         if not 0.0 <= eta < math.inf:
             raise ValueError(f"eta must be finite and >= 0, got {eta}")
-        reference = min(emitter.gamma, filter_width)
+        reference = math.hypot(filter_width / 2.0, filter_center)
         sensor = SensorConfig(
             nu=filter_center, width=filter_width, eta=reference, background=background_b
         )
@@ -143,9 +145,10 @@ class SensorPipeline:
         self.background_b = float(background_b)
         self.model = SystemModel(emitter, (sensor, sensor))
 
-        # Rescale base: the coupling in units of the slowest relevant rate,
-        # so the rescaled generator's conditioning is invariant under an
-        # overall change of units.
+        # Rescale base: the coupling in units of the filter's response rate.
+        # A sensor excited by the emitter then weighs O(1) per excitation in
+        # the rescaled steady state, so its sectors stay balanced, and the
+        # conditioning is invariant under an overall change of units.
         base = eta / reference
         counts = self.model.sensor_excitations()
         sector = np.add.outer(counts, counts).reshape(-1)
@@ -204,8 +207,7 @@ class SensorPipeline:
         weights = np.where(self._sensor_masks[probe_sensor], self._excess_weight, 0.0)
         numerator = weights @ evolved[diag_rows, :]
         pops = self.scaled_populations
-        values = _real_part(numerator, "filtered g2") / (pops[jump_sensor] * pops[probe_sensor])
-        return values
+        return _real_part(numerator / (pops[jump_sensor] * pops[probe_sensor]), "filtered g2")
 
 
 def unfiltered_g2(emitter, taus=None):
@@ -219,7 +221,7 @@ def unfiltered_g2(emitter, taus=None):
     number = sigma.conj().T @ sigma
     pop = float(np.real(np.trace(number @ steady_state(L).rho)))
     raw = two_time_correlator(L, sigma, sigma.conj().T, number, taus)
-    values = _real_part(raw, "unfiltered g2") / pop**2
+    values = _real_part(raw / pop**2, "unfiltered g2")
     return CorrelationTrace(
         taus=taus,
         values=values,
@@ -241,9 +243,10 @@ def calibrate_background(pipeline, beta):
     population A below.  beta is the share of the total detected (sensor)
     population that the laser background alone would produce.  In the
     vanishing-coupling limit the sensor population is exactly quadratic in b,
-    n(b) = A + B b + C b^2, and the background-alone part C b^2 is a driven,
-    damped sensor in closed form.  B takes one more steady solve, b is the
-    positive root of (1 - beta) C b^2 - beta B b - beta A = 0, and a third
+    n(b) = A + B b + b^2: the background alone drives the damped sensor with
+    strength b m, m = |width/2 + i center| the reference coupling, which
+    gives b^2 in the pipeline's units.  B takes one more steady solve, b is
+    the positive root of (1 - beta) b^2 - beta B b - beta A = 0, and a third
     solve at b checks the ratio.  That pipeline comes back with the
     calibration; for beta = 0 it is the given pipeline.
     """
@@ -258,8 +261,7 @@ def calibrate_background(pipeline, beta):
     if beta == 0.0:
         return BackgroundCalibration(beta=0.0, solved_b=0.0, forward_ratio=0.0, pipeline=pipeline)
 
-    # Populations in the pipeline's scaled units, where the background drives
-    # each sensor with strength b * min(gamma, width).
+    # Populations in the pipeline's scaled units.
     A = pipeline.scaled_populations[0]
     if not A > 0.0:
         # A = 0 forces B = 0 (the cross term needs an emitter field), so the
@@ -269,16 +271,15 @@ def calibrate_background(pipeline, beta):
             f"population (A = {A:.3e}), so the background alone gives ratio 1"
         )
     emitter, width, center = pipeline.emitter, pipeline.filter_width, pipeline.filter_center
-    C = min(emitter.gamma, width) ** 2 / (width**2 / 4.0 + center**2)
     unit = SensorPipeline(emitter, width, center, background_b=1.0)
-    B = unit.scaled_populations[0] - A - C
-    a = (1.0 - beta) * C
+    B = unit.scaled_populations[0] - A - 1.0
+    a = 1.0 - beta
     root = math.sqrt((beta * B) ** 2 + 4.0 * a * beta * A)
     # Both forms avoid cancellation between beta * B and the root.
     solved = (beta * B + root) / (2.0 * a) if B >= 0.0 else 2.0 * beta * A / (root - beta * B)
 
     calibrated = SensorPipeline(emitter, width, center, background_b=solved)
-    forward = C * solved**2 / calibrated.scaled_populations[0]
+    forward = solved**2 / calibrated.scaled_populations[0]
     if abs(forward - beta) > 1e-6:
         raise BackgroundCalibrationError(
             f"forward check failed: ratio({solved:.6e}) = {forward:.8f} != {beta}"
@@ -428,7 +429,7 @@ def sweep_g2_zero(
 
 
 def sweep_point(emitter, axis, x, filter_width, filter_center, beta_lo, beta_hi, irf):
-    """One sweep row; separated out so callers can farm points to workers.
+    """One sweep row, the unit that the CLI sweep loop calls per value.
 
     Every value comes from one b = 0 pipeline: g2_ideal directly, each
     background bound through its calibration from it.

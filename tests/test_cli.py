@@ -98,7 +98,6 @@ class TestG2Sweep:
                 raise RuntimeError("sabotaged point")
             return real_sweep_point(emitter, axis, x, *rest)
 
-        monkeypatch.setenv("FILTERED_RF_WORKERS", "1")
         monkeypatch.setattr(cli, "sweep_point", flaky)
         code, text = run(tmp_path, "g2-sweep", "--axis", "filter-width", "--values", "1.0,2.0")
         assert code == 2
@@ -114,21 +113,6 @@ class TestG2Sweep:
         _, rows_a = data_rows(a)
         _, rows_b = data_rows(b)
         assert float(rows_a[0][1]) == pytest.approx(float(rows_b[0][1]), abs=1e-10)
-
-    def test_determinism_across_worker_counts(self, tmp_path):
-        argv = ["g2-sweep", "--axis", "rabi", "--values", "1,2,3", "--filter-width", "0.29"]
-        old = os.environ.get("FILTERED_RF_WORKERS")
-        try:
-            os.environ["FILTERED_RF_WORKERS"] = "1"
-            _, serial = run(tmp_path, *argv, name="serial.csv")
-            os.environ["FILTERED_RF_WORKERS"] = "2"
-            _, parallel = run(tmp_path, *argv, name="parallel.csv")
-        finally:
-            if old is None:
-                os.environ.pop("FILTERED_RF_WORKERS", None)
-            else:
-                os.environ["FILTERED_RF_WORKERS"] = old
-        assert serial == parallel
 
 
 class TestSpectrum:
@@ -260,10 +244,14 @@ class TestSelftest:
 
 def test_import_loads_no_scipy():
     # Only the expm fallback and selftest need scipy; a cold CLI start that
-    # takes neither path should not pay for importing it.
+    # takes neither path should not pay for importing it.  Sweeps run
+    # in-process, so no process-pool machinery is loaded either.
     src = os.path.dirname(os.path.dirname(filtered_rf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, filtered_rf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, filtered_rf.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filtered_rf import filtercorr
@@ -160,6 +160,9 @@ class TestVanishingCouplingLimit:
         width=st.floats(0.01, 500.0),
         center=st.floats(-2.0, 2.0),
     )
+    # A narrow detuned filter: with the sectors unbalanced, the coincidence
+    # lost about 1e-8 relative in the steady solve.
+    @example(scale=3.0, rabi=0.25, width=0.03125, center=1.0)
     def test_unit_scaling_invariance(self, scale, rabi, width, center):
         em = EmitterParams(gamma=1.0, rabi=rabi)
         scaled = EmitterParams(gamma=scale, rabi=rabi * scale)
@@ -168,15 +171,23 @@ class TestVanishingCouplingLimit:
         assert b.solved_b == pytest.approx(a.solved_b, rel=1e-9)
         assert b.pipeline.g2_zero() == pytest.approx(a.pipeline.g2_zero(), rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("rabi", [0.25, 2.0])
-    def test_limit_trace_where_generator_is_defective(self, rabi):
+    @pytest.mark.parametrize(
+        "rabi, width, center, b",
+        [
+            pytest.param(0.25, 1.0, 0.0, 0.0, id="0.25"),
+            pytest.param(2.0, 1.0, 0.0, 0.0, id="2.0"),
+            pytest.param(0.25, 0.01, 2.0, 0.7, id="0.25-narrow-detuned-background"),
+        ],
+    )
+    def test_limit_trace_where_generator_is_defective(self, rabi, width, center, b):
         # width = gamma, and rabi = gamma/4, make the eta = 0 generator
         # exactly defective; the trace must still come out real and match
-        # the finite-coupling model.
+        # the finite-coupling model.  The narrow detuned filter with
+        # background takes the expm path.
         em = EmitterParams(gamma=1.0, rabi=rabi)
         taus = np.linspace(0.0, 20.0, 81)
-        limit = SensorPipeline(em, 1.0).g2_values(taus)
-        finite = SensorPipeline(em, 1.0, 0.0, default_eta(em, 1.0), 0.0).g2_values(taus)
+        limit = SensorPipeline(em, width, center, 0.0, b).g2_values(taus)
+        finite = SensorPipeline(em, width, center, default_eta(em, width), b).g2_values(taus)
         assert np.max(np.abs(limit - finite)) < 1e-5
 
 
