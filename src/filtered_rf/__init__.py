@@ -25,7 +25,6 @@ from .dynamics import (
     two_time_correlator,
 )
 from .filtercorr import (
-    BackgroundCalibration,
     BackgroundCalibrationError,
     CorrelationTrace,
     EtaConvergence,
@@ -75,7 +74,6 @@ __all__ = [
     "first_order_coherence",
     "default_tau_grid",
     "CorrelationTrace",
-    "BackgroundCalibration",
     "BackgroundCalibrationError",
     "EtaConvergence",
     "EtaConvergenceError",

@@ -99,7 +99,7 @@ def _dip_fwhm(taus, values):
 
 
 def _g2_zero(emitter, width, beta=0.0):
-    return calibrate_background(SensorPipeline(emitter, width), beta).pipeline.g2_zero()
+    return calibrate_background(SensorPipeline(emitter, width), beta).g2_zero()
 
 
 def _eta_check(emitter, width):

@@ -296,7 +296,7 @@ def cmd_g2_trace(config):
 
     # Both background bounds calibrate from the one b = 0 pipeline.
     ideal = SensorPipeline(emitter, width, center)
-    lo_values = calibrate_background(ideal, beta_lo).pipeline.g2_values(taus)
+    lo_values = calibrate_background(ideal, beta_lo).g2_values(taus)
 
     def smeared(values):
         return irf_convolve(CorrelationTrace(taus=taus, values=values), irf).values
@@ -309,7 +309,7 @@ def cmd_g2_trace(config):
         columns.append("g2_irf")
         units.append("dimensionless")
     if beta_hi > beta_lo:
-        hi_values = calibrate_background(ideal, beta_hi).pipeline.g2_values(taus)
+        hi_values = calibrate_background(ideal, beta_hi).g2_values(taus)
         series["g2_lo"] = lo_values if irf is None else series["g2_irf"]
         series["g2_hi"] = hi_values if irf is None else smeared(hi_values)
         columns += ["g2_lo", "g2_hi"]

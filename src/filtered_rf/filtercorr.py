@@ -23,12 +23,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qmath
-from .dynamics import default_tau_grid, steady_state, two_time_correlator, _check_taus
+from .dynamics import (
+    DEFAULT_TAU_POINTS,
+    _check_taus,
+    default_tau_grid,
+    steady_state,
+    two_time_correlator,
+)
 from .system import SensorConfig, SystemModel, build_liouvillian
 
 __all__ = [
     "CorrelationTrace",
-    "BackgroundCalibration",
     "EtaConvergence",
     "EtaConvergenceError",
     "BackgroundCalibrationError",
@@ -77,17 +82,6 @@ class CorrelationTrace:
 
 
 @dataclass
-class BackgroundCalibration:
-    """Solved background amplitude b for a requested background fraction,
-    with the sensor pipeline at that amplitude."""
-
-    beta: float
-    solved_b: float
-    forward_ratio: float
-    pipeline: "SensorPipeline"
-
-
-@dataclass
 class EtaConvergence:
     """Outcome of the finite-coupling halving check at one parameter point."""
 
@@ -127,7 +121,8 @@ class SensorPipeline:
     finite eta is the same similarity transform of the physical generator.
     The steady state is solved at construction; zero-delay quantities are
     then direct sector sums, and full traces reuse one propagator of the
-    rescaled generator.
+    rescaled generator.  ``emitter_coherence`` is the emitter's steady
+    <sigma>; at eta = 0 it is the bare emitter's.
     """
 
     def __init__(self, emitter, filter_width, filter_center=0.0, eta=0.0, background_b=0.0):
@@ -168,9 +163,13 @@ class SensorPipeline:
         # excitations weighs base^(2n) in the physical trace and
         # base^(2(n-1)) in a population.
         self._excess_weight = base ** (2.0 * np.clip(counts - 1, 0, None))
-        trace = diag_scaled @ base ** (2.0 * counts)
+        weight = base ** (2.0 * counts)
+        trace = diag_scaled @ weight
         self.rho_scaled = rho_scaled / trace
         diag_scaled = diag_scaled / trace
+        # sigma keeps the sensor state, so tr[sigma rho] weighs each sector
+        # as the trace does; at base = 0 only the zero-sensor block counts.
+        self.emitter_coherence = complex(np.diag(self.model.sigma @ self.rho_scaled) @ weight)
 
         self._sensor_masks = tuple(np.real(np.diag(n)) > 0.5 for n in self.model.sensor_number)
         n1_mask, n2_mask = self._sensor_masks
@@ -236,19 +235,21 @@ def unfiltered_g2(emitter, taus=None):
 
 
 def calibrate_background(pipeline, beta):
-    """Solve for the background amplitude b giving background fraction beta.
+    """The pipeline at the background amplitude b giving background fraction beta.
 
     ``pipeline`` is the b = 0 :class:`SensorPipeline` at eta = 0 of the
     parameter point; it already holds the emitter, the filter and the
     population A below.  beta is the share of the total detected (sensor)
     population that the laser background alone would produce.  In the
-    vanishing-coupling limit the sensor population is exactly quadratic in b,
-    n(b) = A + B b + b^2: the background alone drives the damped sensor with
-    strength b m, m = |width/2 + i center| the reference coupling, which
-    gives b^2 in the pipeline's units.  B takes one more steady solve, b is
-    the positive root of (1 - beta) b^2 - beta B b - beta A = 0, and a third
-    solve at b checks the ratio.  That pipeline comes back with the
-    calibration; for beta = 0 it is the given pipeline.
+    vanishing-coupling limit each sensor is a linear filter of the field
+    sigma + b, so its population is exactly quadratic in b,
+    n(b) = A + 2 Re<sigma> b + b^2 in the pipeline's units: the background
+    alone drives the damped sensor with strength b m, m = |width/2 + i center|
+    the reference coupling, which gives b^2.  b is the positive root of
+    (1 - beta) b^2 - beta B b - beta A = 0 with B = 2 Re<sigma>, and the one
+    solve at b checks the ratio.  That pipeline is returned; for beta = 0 it
+    is the given pipeline.  Its forward ratio needs no further solve:
+    ``p.background_b**2 / p.scaled_populations[0]``.
     """
     beta = float(beta)
     if not 0.0 <= beta <= MAX_BACKGROUND:
@@ -259,7 +260,7 @@ def calibrate_background(pipeline, beta):
             f"b = {pipeline.background_b}, eta = {pipeline.eta}"
         )
     if beta == 0.0:
-        return BackgroundCalibration(beta=0.0, solved_b=0.0, forward_ratio=0.0, pipeline=pipeline)
+        return pipeline
 
     # Populations in the pipeline's scaled units.
     A = pipeline.scaled_populations[0]
@@ -270,30 +271,27 @@ def calibrate_background(pipeline, beta):
             f"background fraction {beta} is unreachable: the emitter adds no sensor "
             f"population (A = {A:.3e}), so the background alone gives ratio 1"
         )
-    emitter, width, center = pipeline.emitter, pipeline.filter_width, pipeline.filter_center
-    unit = SensorPipeline(emitter, width, center, background_b=1.0)
-    B = unit.scaled_populations[0] - A - 1.0
+    B = 2.0 * pipeline.emitter_coherence.real
     a = 1.0 - beta
     root = math.sqrt((beta * B) ** 2 + 4.0 * a * beta * A)
     # Both forms avoid cancellation between beta * B and the root.
     solved = (beta * B + root) / (2.0 * a) if B >= 0.0 else 2.0 * beta * A / (root - beta * B)
 
-    calibrated = SensorPipeline(emitter, width, center, background_b=solved)
+    calibrated = SensorPipeline(
+        pipeline.emitter, pipeline.filter_width, pipeline.filter_center, background_b=solved
+    )
     forward = solved**2 / calibrated.scaled_populations[0]
     if abs(forward - beta) > 1e-6:
         raise BackgroundCalibrationError(
             f"forward check failed: ratio({solved:.6e}) = {forward:.8f} != {beta}"
         )
-    return BackgroundCalibration(
-        beta=beta, solved_b=solved, forward_ratio=forward, pipeline=calibrated
-    )
+    return calibrated
 
 
 def eta_convergence(
     emitter,
     filter_width,
     filter_center=0.0,
-    beta=0.0,
     eta0=None,
     max_halvings=MAX_HALVINGS,
 ):
@@ -306,15 +304,12 @@ def eta_convergence(
     """
     if eta0 is None:
         eta0 = default_eta(emitter, filter_width)
-    ideal = SensorPipeline(emitter, filter_width, filter_center)
-    solved_b = calibrate_background(ideal, beta).solved_b
 
     cache = {}
 
     def g2_at(eta):
         if eta not in cache:
-            pipe = SensorPipeline(emitter, filter_width, filter_center, eta, solved_b)
-            cache[eta] = pipe.g2_zero()
+            cache[eta] = SensorPipeline(emitter, filter_width, filter_center, eta).g2_zero()
         return cache[eta]
 
     eta = float(eta0)
@@ -352,8 +347,8 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
         taus = default_tau_grid(emitter, (filter_width,))
     taus = _check_taus(taus)
 
-    calibration = calibrate_background(SensorPipeline(emitter, filter_width, filter_center), beta)
-    values = calibration.pipeline.g2_values(taus)
+    pipeline = calibrate_background(SensorPipeline(emitter, filter_width, filter_center), beta)
+    values = pipeline.g2_values(taus)
     return CorrelationTrace(
         taus=taus,
         values=values,
@@ -365,13 +360,10 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
             "filter_width": filter_width,
             "filter_center": filter_center,
             "beta": float(beta),
-            "background_b": calibration.solved_b,
+            "background_b": pipeline.background_b,
             "irf_applied": False,
         },
     )
-
-
-DEFAULT_SWEEP_POINTS = 2001
 
 
 def _g2_zero_convolved(pipeline, irf):
@@ -385,7 +377,7 @@ def _g2_zero_convolved(pipeline, irf):
 
     span = default_tau_grid(pipeline.emitter, (pipeline.filter_width,))[-1]
     span = max(span, 8.0 * irf.fwhm)
-    n = max(DEFAULT_SWEEP_POINTS, int(np.ceil(span / (irf.fwhm / 10.0))) + 1)
+    n = max(DEFAULT_TAU_POINTS, int(np.ceil(span / (irf.fwhm / 10.0))) + 1)
     taus = np.linspace(0.0, span, n)
     head = taus[: instrument.kernel_half_width(irf.fwhm, taus[1]) + 1]
     trace = CorrelationTrace(taus=head, values=pipeline.g2_values(head))
@@ -442,6 +434,6 @@ def sweep_point(emitter, axis, x, filter_width, filter_center, beta_lo, beta_hi,
     ideal = SensorPipeline(em, width, filter_center)
     row = {"x": x, "g2_ideal": ideal.g2_zero()}
     for key, beta in (("g2_lo", beta_lo), ("g2_hi", beta_hi)):
-        pipeline = calibrate_background(ideal, beta).pipeline
+        pipeline = calibrate_background(ideal, beta)
         row[key] = pipeline.g2_zero() if irf is None else _g2_zero_convolved(pipeline, irf)
     return row

@@ -110,6 +110,20 @@ def _kernel(fwhm, dt):
     return k / k.sum()
 
 
+def _smooth(values, spacing, irf, what):
+    """Convolve samples of the given spacing with the truncated, renormalized
+    Gaussian kernel, each end padded with its own end value."""
+    if spacing >= irf.fwhm / _MIN_SAMPLES_PER_FWHM:
+        raise ValueError(
+            f"{what} spacing {spacing:.3g} too coarse for IRF fwhm {irf.fwhm:.3g}; "
+            f"need spacing < fwhm/{_MIN_SAMPLES_PER_FWHM:.0f}"
+        )
+    kernel = _kernel(irf.fwhm, spacing)
+    half = kernel.size // 2
+    padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
+    return np.convolve(padded, kernel, mode="valid")
+
+
 def irf_convolve(trace, irf):
     """Convolve a g2 trace with the detector response.
 
@@ -120,19 +134,9 @@ def irf_convolve(trace, irf):
     dt = _uniform_spacing(trace.taus, "tau grid")
     if trace.taus[0] != 0.0:
         raise ValueError("tau grid must start at 0 for the even extension")
-    if dt >= irf.fwhm / _MIN_SAMPLES_PER_FWHM:
-        raise ValueError(
-            f"tau grid spacing {dt:.3g} too coarse for IRF fwhm {irf.fwhm:.3g}; "
-            f"need spacing < fwhm/{_MIN_SAMPLES_PER_FWHM:.0f}"
-        )
-    kernel = _kernel(irf.fwhm, dt)
-    half = kernel.size // 2
-
+    # The even extension starts and ends with the asymptotic value values[-1].
     extended = np.concatenate([trace.values[:0:-1], trace.values])
-    tail = trace.values[-1]
-    padded = np.concatenate([np.full(half, tail), extended, np.full(half, tail)])
-    smeared = np.convolve(padded, kernel, mode="valid")
-    out = smeared[trace.values.size - 1 :]
+    out = _smooth(extended, dt, irf, "tau grid")[trace.values.size - 1 :]
 
     metadata = dict(trace.metadata)
     metadata.update(irf_applied=True, irf_fwhm=irf.fwhm)
@@ -142,16 +146,7 @@ def irf_convolve(trace, irf):
 def spectral_irf_convolve(omegas, values, irf):
     """Gaussian smoothing of a sampled spectrum on a uniform grid."""
     domega = _uniform_spacing(omegas, "omega grid")
-    if domega >= irf.fwhm / _MIN_SAMPLES_PER_FWHM:
-        raise ValueError(
-            f"omega grid spacing {domega:.3g} too coarse for IRF fwhm {irf.fwhm:.3g}; "
-            f"need spacing < fwhm/{_MIN_SAMPLES_PER_FWHM:.0f}"
-        )
-    values = np.asarray(values, dtype=float)
-    kernel = _kernel(irf.fwhm, domega)
-    half = kernel.size // 2
-    padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
-    return np.convolve(padded, kernel, mode="valid")
+    return _smooth(np.asarray(values, dtype=float), domega, irf, "omega grid")
 
 
 def etalon_bandwidth(fsr, finesse):

@@ -113,7 +113,7 @@ class SystemModel:
         def lift(op, slot):
             ops = list(factors)
             ops[slot] = op
-            return reduce(np.kron, ops)
+            return reduce(qmath.kron, ops)
 
         self.sigma = lift(_LOWER, 0)
         self.excited = lift(_NUMBER, 0)

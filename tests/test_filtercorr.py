@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filtered_rf import filtercorr
-from filtered_rf.dynamics import default_tau_grid
+from filtered_rf.dynamics import default_tau_grid, steady_state
 from filtered_rf.filtercorr import (
     BackgroundCalibrationError,
     EtaConvergenceError,
@@ -18,7 +18,7 @@ from filtered_rf.filtercorr import (
     unfiltered_g2,
 )
 from filtered_rf.instrument import GaussianIRF, irf_convolve
-from filtered_rf.system import HBAR_UEV_PS, EmitterParams
+from filtered_rf.system import HBAR_UEV_PS, EmitterParams, SystemModel, build_liouvillian
 
 from oracles import background_only_population, bloch_g2, unfiltered_g2_closed_form
 
@@ -103,8 +103,8 @@ class TestFilteredG2:
     def test_scaled_engine_matches_plain_regression(self):
         # at a moderate coupling the rescaled solve must agree with the
         # textbook route: steady state + regression on the raw generator
-        from filtered_rf.dynamics import steady_state, two_time_correlator
-        from filtered_rf.system import SensorConfig, SystemModel, build_liouvillian
+        from filtered_rf.dynamics import two_time_correlator
+        from filtered_rf.system import SensorConfig
 
         eta = 1e-2
         taus = np.linspace(0.0, 10.0, 41)
@@ -168,8 +168,8 @@ class TestVanishingCouplingLimit:
         scaled = EmitterParams(gamma=scale, rabi=rabi * scale)
         a = calibrate_background(SensorPipeline(em, width, center), 0.2)
         b = calibrate_background(SensorPipeline(scaled, width * scale, center * scale), 0.2)
-        assert b.solved_b == pytest.approx(a.solved_b, rel=1e-9)
-        assert b.pipeline.g2_zero() == pytest.approx(a.pipeline.g2_zero(), rel=1e-9, abs=1e-12)
+        assert b.background_b == pytest.approx(a.background_b, rel=1e-9)
+        assert b.g2_zero() == pytest.approx(a.g2_zero(), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize(
         "rabi, width, center, b",
@@ -215,8 +215,8 @@ class TestBackgroundCalibration:
     def test_zero_beta_gives_zero_amplitude(self):
         pipe = SensorPipeline(WEAK, 1.0)
         cal = calibrate_background(pipe, 0.0)
-        assert cal.solved_b == 0.0
-        assert cal.pipeline is pipe
+        assert cal is pipe
+        assert cal.background_b == 0.0
 
     def test_rejects_pipeline_with_background_or_coupling(self):
         # The closed-form root holds for the b = 0 pipeline at eta = 0 only.
@@ -227,8 +227,8 @@ class TestBackgroundCalibration:
 
     def test_forward_check_at_strong_drive(self):
         cal = calibrate_background(SensorPipeline(STRONG, 0.29), 0.2)
-        assert abs(cal.forward_ratio - 0.2) < 1e-6
-        assert cal.solved_b > 0.0
+        assert abs(cal.background_b**2 / cal.scaled_populations[0] - 0.2) < 1e-6
+        assert cal.background_b > 0.0
 
     def test_monotone_in_amplitude(self):
         eta = default_eta(STRONG, 0.29)
@@ -241,21 +241,31 @@ class TestBackgroundCalibration:
     @settings(max_examples=15, deadline=None)
     @given(
         rabi=st.floats(0.05, 20.0),
+        detuning=st.floats(-2.0, 2.0),
         width=st.floats(0.01, 500.0),
         center=st.floats(-2.0, 2.0),
         beta=st.floats(1e-3, 0.2),
     )
-    def test_round_trip_through_finite_coupling(self, rabi, width, center, beta):
+    # Detuned emitters: the cross term B = 2 Re<sigma> is -+2/3 here, near its
+    # largest magnitude, one example for each branch of the root.
+    @example(rabi=2.0, detuning=1.5, width=0.29, center=1.0, beta=0.2)
+    @example(rabi=2.0, detuning=-1.5, width=5.0, center=-1.0, beta=1e-3)
+    def test_round_trip_through_finite_coupling(self, rabi, detuning, width, center, beta):
         # The closed-form root must reproduce beta in an independent
         # finite-eta model: background-only sensor from the Bloch steady
         # state, total population from the physical two-sensor solve.
-        em = EmitterParams(gamma=1.0, rabi=rabi)
-        cal = calibrate_background(SensorPipeline(em, width, center), beta)
+        em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
+        ideal = SensorPipeline(em, width, center)
+        bare = SystemModel(em)
+        coherence = np.trace(bare.sigma @ steady_state(build_liouvillian(bare)).rho)
+        assert 2.0 * ideal.emitter_coherence.real == pytest.approx(
+            2.0 * coherence.real, abs=1e-12
+        )
+        b = calibrate_background(ideal, beta).background_b
         eta = default_eta(em, width)
-        total = SensorPipeline(em, width, center, eta, cal.solved_b).n1_pop
-        alone = background_only_population(width, center, eta, cal.solved_b)
+        total = SensorPipeline(em, width, center, eta, b).n1_pop
+        alone = background_only_population(width, center, eta, b)
         assert alone / total == pytest.approx(beta, abs=1e-5)
-        assert cal.pipeline.background_b == cal.solved_b
 
     def test_rejects_beta_outside_range(self):
         with pytest.raises(ValueError):
@@ -309,7 +319,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("irf", [None, GaussianIRF(fwhm=1.14)])
     def test_one_pipeline_per_solve(self, monkeypatch, irf):
-        # b = 0 once, then the b = 1 and forward-check solves of beta = 0.2.
+        # b = 0 once, then the one solve at the calibrated b of beta = 0.2;
+        # the cross term 2 Re<sigma> comes from the b = 0 pipeline.
         built = []
 
         class CountingPipeline(SensorPipeline):
@@ -319,7 +330,7 @@ class TestSweep:
 
         monkeypatch.setattr(filtercorr, "SensorPipeline", CountingPipeline)
         sweep_point(STRONG, "filter_width", 0.29, None, 0.0, 0.0, 0.2, irf)
-        assert len(built) == 3
+        assert len(built) == 2
 
     @pytest.mark.parametrize("width", [150.0, 0.0125, 1.0])
     def test_irf_smear_matches_full_trace(self, width):
