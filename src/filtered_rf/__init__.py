@@ -30,6 +30,7 @@ from .filtercorr import (
     EtaConvergence,
     EtaConvergenceError,
     SensorPipeline,
+    TwoSensorModel,
     calibrate_background,
     default_eta,
     eta_convergence,
@@ -78,6 +79,7 @@ __all__ = [
     "EtaConvergence",
     "EtaConvergenceError",
     "SensorPipeline",
+    "TwoSensorModel",
     "default_eta",
     "calibrate_background",
     "eta_convergence",

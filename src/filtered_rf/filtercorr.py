@@ -3,15 +3,11 @@
 Two damped two-level sensors are attached to the emitter; their decay rate
 plays the role of the filter bandwidth, and the normalized cross
 coincidence of their populations is the filtered g2.  The defining limit
-is vanishing emitter-sensor coupling eta, computed here exactly at eta = 0.
-
-Sector populations scale as eta^2 per sensor excitation, so all sensor
-solves and propagations run in an exactly rescaled basis, each basis state
-weighted by the inverse of (eta over the filter's response rate) per sensor
-excitation.  There the entries that lower the sensor excitation scale as
-eta^2 and all others are independent of eta, so eta = 0 is a finite,
-block-triangular generator.  Finite eta, with the halving check
-:func:`eta_convergence`, remains as an independent oracle.
+is vanishing emitter-sensor coupling eta.  There each sensor is a linear
+filter of the emitter field, so :class:`SensorPipeline` computes the limit
+exactly on the emitter's own 4-dim Liouville space, from a short hierarchy
+of emitter operators.  The full 64-dim two-sensor model, with the halving
+check :func:`eta_convergence`, remains as the finite-coupling reference.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ __all__ = [
     "EtaConvergenceError",
     "BackgroundCalibrationError",
     "SensorPipeline",
+    "TwoSensorModel",
     "default_eta",
     "filtered_g2",
     "unfiltered_g2",
@@ -110,19 +107,124 @@ def _real_part(g2, context):
     return g2.real.copy()
 
 
-class SensorPipeline:
-    """One assembled two-sensor model at fixed coupling and background.
+# Sensor states (n1, n2) and the states one excitation below each.  Every
+# (ket, bra) pair of them above the ground pair is one emitter operator;
+# the pairs are grouped by excitation counts (|a|, |c|), which fix kappa,
+# in order of total excitation, so that a group's sources come first.
+_BELOW = {(0, 0): [], (1, 0): [(0, 0)], (0, 1): [(0, 0)], (1, 1): [(0, 1), (1, 0)]}
+_GROUPS = [
+    (counts, [(a, c) for a in _BELOW for c in _BELOW if (sum(a), sum(c)) == counts])
+    for counts in sorted(((i, j) for i in range(3) for j in range(3)), key=sum)[1:]
+]
+# vec indices of the diagonal of a 2x2 operator: its trace.
+_DIAG = [0, 3]
 
-    The generator is built once at the reference coupling m = |width/2 +
-    i center|, the filter's response rate, and moved to the sector-rescaled
-    basis, where every entry that lowers the total sensor excitation
-    (back-action and sensor refill) scales as (eta/m)^2 and every other entry
-    is independent of eta.  eta = 0 is the exact vanishing-coupling limit; a
-    finite eta is the same similarity transform of the physical generator.
-    The steady state is solved at construction; zero-delay quantities are
-    then direct sector sums, and full traces reuse one propagator of the
-    rescaled generator.  ``emitter_coherence`` is the emitter's steady
-    <sigma>; at eta = 0 it is the bare emitter's.
+
+class SensorPipeline:
+    """Two identical sensors in the exact vanishing-coupling limit.
+
+    There each sensor is a linear filter of the field F = sigma + b, and the
+    two-sensor state reduces to emitter operators X[a, c], one per sensor
+    ket excitation a = (a1, a2) and bra excitation c = (c1, c2), in units of
+    (eta/m)^(|a| + |c|) with m = |k|, k = width/2 + i center the filter's
+    response rate.  X[00, 00] is the emitter's steady state, and every
+    other component solves, from the ones one excitation lower,
+
+        (kappa - L_e) X[a, c] = -i m F X[a - e_j, c] + i m X[a, c - e_j] F^dag,
+
+    summed over the sensors j excited in a and in c respectively, with
+    kappa = |a| k + |c| conj(k).  Re kappa > 0, so every solve is regular,
+    exceptional points included.  Sensor populations are tr X[10, 10] and
+    tr X[01, 01] in units of (eta/m)^2, the coincidence tr X[11, 11] in
+    (eta/m)^4.  ``emitter_coherence`` is the emitter's steady <sigma>.
+    """
+
+    def __init__(self, emitter, filter_width, filter_center=0.0, *, background_b=0.0):
+        self.emitter = emitter
+        self.filter_width = filter_width
+        self.filter_center = filter_center
+        self.background_b = float(background_b)
+
+        model = SystemModel(emitter)
+        L = build_liouvillian(model)
+        rho = qmath.unvec(qmath.steady_vector(L))
+        self.emitter_coherence = complex(np.trace(model.sigma @ rho))
+
+        k = 0.5 * filter_width + 1j * filter_center
+        m = abs(k)
+        field = model.sigma + self.background_b * np.eye(2)
+        emit = -1j * m * qmath.spre(field)
+        absorb = 1j * m * qmath.spost(field.conj().T)
+        eye = np.eye(4)
+        x = {((0, 0), (0, 0)): qmath.vec(rho)}
+        for (n_ket, n_bra), pairs in _GROUPS:
+            sources = np.zeros((4, len(pairs)), dtype=complex)
+            for i, (a, c) in enumerate(pairs):
+                for low in _BELOW[a]:
+                    sources[:, i] += emit @ x[low, c]
+                for low in _BELOW[c]:
+                    sources[:, i] += absorb @ x[a, low]
+            kappa = n_ket * k + n_bra * k.conjugate()
+            x.update(zip(pairs, np.linalg.solve(kappa * eye - L, sources).T))
+
+        def trace(a, c):
+            return float(x[a, c][_DIAG].sum().real)
+
+        self.scaled_populations = (trace((1, 0), (1, 0)), trace((0, 1), (0, 1)))
+        self._coincidence = trace((1, 1), (1, 1))
+        # After a jump on sensor 1 the sensor-1-ground components
+        # Y[s, s'] = X[1s, 1s'] evolve on their own, driven as above, with
+        # the probe sensor's kappa; tr Y[1, 1] is the coincidence numerator.
+        self._jumped = np.concatenate(
+            [x[(1, 0), (1, 0)], x[(1, 1), (1, 0)], x[(1, 0), (1, 1)], x[(1, 1), (1, 1)]]
+        )
+        # Block (row, column) of the generator over (Y00, Y10, Y01, Y11).
+        blocks = {
+            (0, 0): L,
+            (1, 0): emit,
+            (1, 1): L - k * eye,
+            (2, 0): absorb,
+            (2, 2): L - k.conjugate() * eye,
+            (3, 1): absorb,
+            (3, 2): emit,
+            (3, 3): L - 2.0 * k.real * eye,
+        }
+        self._generator = np.zeros((16, 16), dtype=complex)
+        for (i, j), block in blocks.items():
+            self._generator[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = block
+        self._propagator = None
+
+    def g2_zero(self):
+        """Normalized zero-delay coincidence tr[n1 n2 rho] / (<n1><n2>)."""
+        n1, n2 = self.scaled_populations
+        return self._coincidence / (n1 * n2)
+
+    def g2_values(self, taus):
+        """Filtered g2 on a tau grid: the sensor-2 population after a jump on
+        sensor 1, evolved by tau, over <n1><n2>."""
+        taus = _check_taus(taus)
+        if np.all(taus == 0.0):
+            return np.full(taus.shape, self.g2_zero())
+        if self._propagator is None:
+            self._propagator = qmath.Propagator(self._generator)
+        evolved = self._propagator.apply_grid(self._jumped, taus)
+        numerator = evolved[12:][_DIAG].sum(axis=0)  # tr Y11
+        n1, n2 = self.scaled_populations
+        return _real_part(numerator / (n1 * n2), "filtered g2")
+
+
+class TwoSensorModel:
+    """Finite-coupling reference: the full two-sensor master equation.
+
+    The 64-dim generator of emitter plus two sensors is built once at the
+    reference coupling m = |width/2 + i center|, the filter's response rate,
+    and moved to the sector-rescaled basis, where every entry that lowers
+    the total sensor excitation (back-action and sensor refill) scales as
+    (eta/m)^2 and every other entry is independent of eta.  eta = 0 is the
+    vanishing-coupling limit that :class:`SensorPipeline` computes on the
+    emitter's own space; a finite eta is the same similarity transform of
+    the physical generator.  Tests and :func:`eta_convergence` compare
+    against it.
     """
 
     def __init__(self, emitter, filter_width, filter_center=0.0, eta=0.0, background_b=0.0):
@@ -163,13 +265,9 @@ class SensorPipeline:
         # excitations weighs base^(2n) in the physical trace and
         # base^(2(n-1)) in a population.
         self._excess_weight = base ** (2.0 * np.clip(counts - 1, 0, None))
-        weight = base ** (2.0 * counts)
-        trace = diag_scaled @ weight
+        trace = diag_scaled @ base ** (2.0 * counts)
         self.rho_scaled = rho_scaled / trace
         diag_scaled = diag_scaled / trace
-        # sigma keeps the sensor state, so tr[sigma rho] weighs each sector
-        # as the trace does; at base = 0 only the zero-sensor block counts.
-        self.emitter_coherence = complex(np.diag(self.model.sigma @ self.rho_scaled) @ weight)
 
         self._sensor_masks = tuple(np.real(np.diag(n)) > 0.5 for n in self.model.sensor_number)
         n1_mask, n2_mask = self._sensor_masks
@@ -237,8 +335,8 @@ def unfiltered_g2(emitter, taus=None):
 def calibrate_background(pipeline, beta):
     """The pipeline at the background amplitude b giving background fraction beta.
 
-    ``pipeline`` is the b = 0 :class:`SensorPipeline` at eta = 0 of the
-    parameter point; it already holds the emitter, the filter and the
+    ``pipeline`` is the b = 0 :class:`SensorPipeline` of the parameter
+    point; it already holds the emitter, the filter and the
     population A below.  beta is the share of the total detected (sensor)
     population that the laser background alone would produce.  In the
     vanishing-coupling limit each sensor is a linear filter of the field
@@ -254,10 +352,9 @@ def calibrate_background(pipeline, beta):
     beta = float(beta)
     if not 0.0 <= beta <= MAX_BACKGROUND:
         raise ValueError(f"beta must lie in [0, {MAX_BACKGROUND}], got {beta}")
-    if pipeline.background_b != 0.0 or pipeline.eta != 0.0:
+    if pipeline.background_b != 0.0:
         raise ValueError(
-            "calibrate_background needs the b = 0, eta = 0 pipeline, got "
-            f"b = {pipeline.background_b}, eta = {pipeline.eta}"
+            f"calibrate_background needs the b = 0 pipeline, got b = {pipeline.background_b}"
         )
     if beta == 0.0:
         return pipeline
@@ -297,33 +394,27 @@ def eta_convergence(
 ):
     """Coupling-halving check of a finite-coupling approximation.
 
-    Results come from the exact eta = 0 limit; this ladder is the
-    finite-coupling oracle for it.  Accepts when g2(0) at eta and at eta/2
-    agree to ETA_TOL * max(1, g2); on failure the reference coupling is
-    halved, up to max_halvings times.
+    Results come from the exact eta = 0 limit; this ladder on the
+    :class:`TwoSensorModel` is the finite-coupling oracle for it.  Accepts
+    when g2(0) at eta and at eta/2 agree to ETA_TOL * max(1, g2); on
+    failure the reference coupling is halved, up to max_halvings times.
     """
     if eta0 is None:
         eta0 = default_eta(emitter, filter_width)
 
-    cache = {}
-
-    def g2_at(eta):
-        if eta not in cache:
-            cache[eta] = SensorPipeline(emitter, filter_width, filter_center, eta).g2_zero()
-        return cache[eta]
-
     eta = float(eta0)
+    g2_ref = TwoSensorModel(emitter, filter_width, filter_center, eta).g2_zero()
     for halvings in range(max_halvings + 1):
-        g2_ref = g2_at(eta)
-        g2_half = g2_at(eta / 2.0)
-        if abs(g2_ref - g2_half) < ETA_TOL * max(1.0, abs(g2_half)):
+        g2_half = TwoSensorModel(emitter, filter_width, filter_center, eta / 2.0).g2_zero()
+        delta = abs(g2_ref - g2_half)
+        if delta < ETA_TOL * max(1.0, abs(g2_half)):
             return EtaConvergence(
                 eta=eta, g2_ref=g2_ref, g2_half=g2_half, accepted=True, halvings=halvings
             )
-        eta /= 2.0
+        eta, g2_ref = eta / 2.0, g2_half
     raise EtaConvergenceError(
         f"no eta convergence after {max_halvings} halvings from {eta0:.3e} "
-        f"(last |delta| = {abs(g2_ref - g2_half):.3e}); coupling too large or "
+        f"(last |delta| = {delta:.3e}); coupling too large or "
         "numerics breaking down"
     )
 

@@ -205,18 +205,17 @@ def steady_vector(liouvillian, check_degeneracy=True):
     try:
         v = np.linalg.solve(A, rhs)
         # One step of iterative refinement.  With rates that span orders of
-        # magnitude (a 0.01 filter beside a Rabi frequency of 12) the plain
-        # solve is off by ~1e-12 in <sigma>; the corrected one by ~1e-15.
+        # magnitude the plain solve of the 64-dim two-sensor reference is off
+        # by ~1e-12 (its coincidence at rabi 0.0625, width 0.0117: 3.9e-12
+        # relative); the corrected one by ~1e-15.
         v -= np.linalg.solve(A, A @ v - rhs)
-    except np.linalg.LinAlgError:
-        v = None
-    if v is None or not np.all(np.isfinite(v)):
-        # Row replacement can lose rank if row 0 of L happened to be
-        # independent of the rest; the stacked least-squares system cannot.
-        stacked = np.vstack([L, trace_row])
-        rhs = np.zeros(d2 + 1, dtype=complex)
-        rhs[-1] = 1.0
-        v = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError(
+            f"row-replaced steady-state solve is singular ({exc}); the Liouvillian "
+            "has no unique fixed point"
+        ) from None
+    if not np.all(np.isfinite(v)):
+        raise SteadyStateError("row-replaced steady-state solve returned non-finite entries")
 
     trace = np.sum(v[:: d + 1])
     if abs(trace) < 1e-300:

@@ -242,16 +242,41 @@ class TestSelftest:
         assert out.count("[PASS]") == 9
 
 
+def loaded_modules(code, prefixes):
+    """Top-level packages among ``prefixes`` that a fresh interpreter has
+    loaded after running ``code``."""
+    src = os.path.dirname(os.path.dirname(filtered_rf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code += f"\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] in {prefixes!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_import_loads_no_scipy():
     # Only the expm fallback and selftest need scipy; a cold CLI start that
     # takes neither path should not pay for importing it.  Sweeps run
     # in-process, so no process-pool machinery is loaded either.
-    src = os.path.dirname(os.path.dirname(filtered_rf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, filtered_rf.cli; print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert loaded_modules("import filtered_rf.cli", ("scipy", "multiprocessing", "concurrent")) == "[]"
+
+
+def test_figure_traffic_loads_no_scipy():
+    # The expm fallback imports scipy.linalg (+26 MB RSS in one process).
+    # The fig2a IRF sweeps, default-grid traces, and a narrow filter on a
+    # Mollow sideband (where the 64-dim two-sensor generator needs expm)
+    # must all stay on the eigendecomposition path.
+    code = """
+from filtered_rf import EmitterParams, GaussianIRF, HBAR_UEV_PS, filtered_g2
+from filtered_rf.filtercorr import sweep_point
+gamma = 20.0 / HBAR_UEV_PS
+irf = GaussianIRF(fwhm=37.5)
+for rabi in (0.5, 2.0):
+    em = EmitterParams(gamma=gamma, rabi=rabi * gamma)
+    for width in (150.0, 23.0, 4.85, 0.85, 0.29, 0.0125):
+        sweep_point(em, "filter_width", width * gamma, None, 0.0, 0.0, 0.2, irf)
+em = EmitterParams(gamma=gamma, rabi=0.5 * gamma)
+for width in (0.29, 0.85, 4.85):
+    filtered_g2(em, width * gamma)
+filtered_g2(EmitterParams(gamma=1.0, rabi=2.0), 0.01, filter_center=2.0)
+"""
+    assert loaded_modules(code, ("scipy",)) == "[]"

@@ -9,6 +9,7 @@ from filtered_rf.filtercorr import (
     BackgroundCalibrationError,
     EtaConvergenceError,
     SensorPipeline,
+    TwoSensorModel,
     calibrate_background,
     default_eta,
     eta_convergence,
@@ -77,7 +78,7 @@ class TestFilteredG2:
             assert abs(tr.values[-1] - 1.0) < 2e-2
 
     def test_sensor_swap_symmetry(self):
-        pipe = SensorPipeline(STRONG, 0.29, 0.0, default_eta(STRONG, 0.29), 0.0)
+        pipe = TwoSensorModel(STRONG, 0.29, 0.0, default_eta(STRONG, 0.29), 0.0)
         taus = np.linspace(0.0, 15.0, 151)
         forward = pipe.g2_values(taus, jump_sensor=0, probe_sensor=1)
         swapped = pipe.g2_values(taus, jump_sensor=1, probe_sensor=0)
@@ -108,7 +109,7 @@ class TestFilteredG2:
 
         eta = 1e-2
         taus = np.linspace(0.0, 10.0, 41)
-        pipe = SensorPipeline(STRONG, 0.5, 0.0, eta, 0.3)
+        pipe = TwoSensorModel(STRONG, 0.5, 0.0, eta, 0.3)
         sensor = SensorConfig(nu=0.0, width=0.5, eta=eta, background=0.3)
         model = SystemModel(STRONG, (sensor, sensor))
         L = build_liouvillian(model)
@@ -145,7 +146,7 @@ class TestVanishingCouplingLimit:
         em = EmitterParams(gamma=1.0, rabi=rabi)
         limit = SensorPipeline(em, width).g2_zero()
         shifts = [
-            abs(SensorPipeline(em, width, 0.0, eta, 0.0).g2_zero() - limit)
+            abs(TwoSensorModel(em, width, 0.0, eta, 0.0).g2_zero() - limit)
             for eta in (default_eta(em, width) * 10.0, default_eta(em, width))
         ]
         assert shifts[1] <= 1e-3 * max(1.0, limit)
@@ -171,6 +172,51 @@ class TestVanishingCouplingLimit:
         assert b.background_b == pytest.approx(a.background_b, rel=1e-9)
         assert b.g2_zero() == pytest.approx(a.g2_zero(), rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rabi=st.floats(0.05, 20.0),
+        detuning=st.floats(-2.0, 2.0),
+        width=st.floats(0.01, 300.0),
+        center=st.floats(-3.0, 3.0),
+        b=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_emitter_space_matches_two_sensor_limit(self, rabi, detuning, width, center, b):
+        em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
+        pipe = SensorPipeline(em, width, center, background_b=b)
+        ref = TwoSensorModel(em, width, center, 0.0, b)
+        assert pipe.g2_zero() == pytest.approx(ref.g2_zero(), rel=1e-12)
+        # Both populations: the two sensors are solved separately on both sides.
+        assert pipe.scaled_populations == pytest.approx(ref.scaled_populations, rel=1e-12)
+        # <sigma> of the reference: its zero-sensor block, the only one that
+        # weighs in the trace at eta = 0.  |2 Re<sigma>| <= 1, so the floor
+        # is 1e-12 of max(1, |2 Re<sigma>|); at resonance it is exactly 0.
+        ground = ref.model.sensor_excitations() == 0
+        coherence = np.diag(ref.model.sigma @ ref.rho_scaled)[ground].sum()
+        assert 2.0 * pipe.emitter_coherence.real == pytest.approx(
+            2.0 * coherence.real, rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "rabi, width, center, b",
+        [
+            pytest.param(0.25, 1.0, 0.0, 0.0, id="0.25"),
+            pytest.param(2.0, 1.0, 0.0, 0.0, id="2.0"),
+            pytest.param(0.25, 0.01, 2.0, 0.7, id="0.25-narrow-detuned-background"),
+            # A narrow filter on a Mollow sideband: the 64-dim generator's
+            # eigenvectors are ill conditioned there (expm path).
+            pytest.param(2.0, 0.01, 2.0, 0.0, id="sideband-0.01"),
+            pytest.param(2.0, 0.0125, 2.0, 0.0, id="sideband-0.0125"),
+            # The 64-dim eig trace is itself 1.6e-9 off here.
+            pytest.param(9.99, 0.0125, 1.96, 1.0, id="strong-sideband-background"),
+        ],
+    )
+    def test_trace_matches_two_sensor_limit(self, rabi, width, center, b):
+        em = EmitterParams(gamma=1.0, rabi=rabi)
+        taus = default_tau_grid(em, (width,))
+        got = SensorPipeline(em, width, center, background_b=b).g2_values(taus)
+        ref = TwoSensorModel(em, width, center, 0.0, b).g2_values(taus)
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-8
+
     @pytest.mark.parametrize(
         "rabi, width, center, b",
         [
@@ -186,8 +232,8 @@ class TestVanishingCouplingLimit:
         # background takes the expm path.
         em = EmitterParams(gamma=1.0, rabi=rabi)
         taus = np.linspace(0.0, 20.0, 81)
-        limit = SensorPipeline(em, width, center, 0.0, b).g2_values(taus)
-        finite = SensorPipeline(em, width, center, default_eta(em, width), b).g2_values(taus)
+        limit = SensorPipeline(em, width, center, background_b=b).g2_values(taus)
+        finite = TwoSensorModel(em, width, center, default_eta(em, width), b).g2_values(taus)
         assert np.max(np.abs(limit - finite)) < 1e-5
 
 
@@ -219,11 +265,9 @@ class TestBackgroundCalibration:
         assert cal.background_b == 0.0
 
     def test_rejects_pipeline_with_background_or_coupling(self):
-        # The closed-form root holds for the b = 0 pipeline at eta = 0 only.
+        # The closed-form root holds for the b = 0 pipeline only.
         with pytest.raises(ValueError, match="b = 0"):
-            calibrate_background(SensorPipeline(STRONG, 0.29, 0.0, 0.0, 0.5), 0.1)
-        with pytest.raises(ValueError, match="eta = 0"):
-            calibrate_background(SensorPipeline(STRONG, 0.29, 0.0, default_eta(STRONG, 0.29)), 0.1)
+            calibrate_background(SensorPipeline(STRONG, 0.29, background_b=0.5), 0.1)
 
     def test_forward_check_at_strong_drive(self):
         cal = calibrate_background(SensorPipeline(STRONG, 0.29), 0.2)
@@ -234,7 +278,7 @@ class TestBackgroundCalibration:
         eta = default_eta(STRONG, 0.29)
         ratios = []
         for b in np.linspace(0.05, 1.0, 8):
-            total = SensorPipeline(STRONG, 0.29, 0.0, eta, b).n1_pop
+            total = TwoSensorModel(STRONG, 0.29, 0.0, eta, b).n1_pop
             ratios.append(background_only_population(0.29, 0.0, eta, b) / total)
         assert np.all(np.diff(ratios) > 0.0)
 
@@ -263,7 +307,7 @@ class TestBackgroundCalibration:
         )
         b = calibrate_background(ideal, beta).background_b
         eta = default_eta(em, width)
-        total = SensorPipeline(em, width, center, eta, b).n1_pop
+        total = TwoSensorModel(em, width, center, eta, b).n1_pop
         alone = background_only_population(width, center, eta, b)
         assert alone / total == pytest.approx(beta, abs=1e-5)
 
@@ -284,7 +328,7 @@ class TestBackgroundCalibration:
         # Emitter dark (rabi = 0), sensors driven only by the background:
         # coherent drive gives g2 = 1 at every delay.
         dark = EmitterParams(gamma=1.0, rabi=0.0)
-        pipe = SensorPipeline(dark, 5.0, 0.0, default_eta(dark, 5.0), 0.5)
+        pipe = TwoSensorModel(dark, 5.0, 0.0, default_eta(dark, 5.0), 0.5)
         values = pipe.g2_values(np.linspace(0.0, 10.0, 101))
         assert np.max(np.abs(values - 1.0)) < 1e-3
 

@@ -173,3 +173,9 @@ class TestSteadyVector:
         L = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
         with pytest.raises(qmath.SteadyStateError, match="no null vector"):
             qmath.steady_vector(L)
+
+    def test_singular_row_replaced_solve_raises(self):
+        # Without the degeneracy check, a generator with no unique fixed point
+        # must fail in the solve, not come back as some unit-trace vector.
+        with pytest.raises(qmath.SteadyStateError, match="singular"):
+            qmath.steady_vector(np.zeros((4, 4)), check_degeneracy=False)
