@@ -149,7 +149,9 @@ def resolve_config(args):
     # validation of scalar fields used by every subcommand
     _require_number(config, "emitter", "gamma_ueV", minimum=0.0, strict=True)
     _require_number(config, "emitter", "rabi_over_gamma", minimum=0.0)
+    _require_number(config, "emitter", "detuning_over_gamma")
     _require_number(config, "emitter", "laser_linewidth_neV", minimum=0.0)
+    _require_number(config, "filter", "center_over_gamma")
     beta_lo = _require_number(config, "background", "beta_lo", minimum=0.0)
     beta_hi = _require_number(config, "background", "beta_hi", minimum=0.0)
     if beta_lo > 0.2 or beta_hi > 0.2:

@@ -6,12 +6,15 @@ coincidence of their populations is the filtered g2.  The defining limit
 is vanishing emitter-sensor coupling eta.  There each sensor is a linear
 filter of the emitter field, so :class:`SensorPipeline` computes the limit
 exactly on the emitter's own 4-dim Liouville space, from a short hierarchy
-of emitter operators.  The full 64-dim two-sensor model, with the halving
-check :func:`eta_convergence`, remains as the finite-coupling reference.
+of emitter operators solved once at zero laser background; the background
+is an exact displacement of that solution.  The full 64-dim two-sensor
+model, with the halving check :func:`eta_convergence`, remains as the
+finite-coupling reference.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -116,34 +119,40 @@ _GROUPS = [
     (counts, [(a, c) for a in _BELOW for c in _BELOW if (sum(a), sum(c)) == counts])
     for counts in sorted(((i, j) for i in range(3) for j in range(3)), key=sum)[1:]
 ]
-# vec indices of the diagonal of a 2x2 operator: its trace.
-_DIAG = [0, 3]
+# The row that takes the trace of a vectorized 2x2 operator.
+_TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
 
 
 class SensorPipeline:
     """Two identical sensors in the exact vanishing-coupling limit.
 
-    There each sensor is a linear filter of the field F = sigma + b, and the
+    There each sensor is a linear filter of the field sigma + b, and the
     two-sensor state reduces to emitter operators X[a, c], one per sensor
     ket excitation a = (a1, a2) and bra excitation c = (c1, c2), in units of
     (eta/m)^(|a| + |c|) with m = |k|, k = width/2 + i center the filter's
-    response rate.  X[00, 00] is the emitter's steady state, and every
-    other component solves, from the ones one excitation lower,
+    response rate.  The hierarchy is solved once, at b = 0: X[00, 00] is the
+    emitter's steady state, and every other component solves, from the ones
+    one excitation lower,
 
-        (kappa - L_e) X[a, c] = -i m F X[a - e_j, c] + i m X[a, c - e_j] F^dag,
+        (kappa - L_e) X[a, c] = -i m sigma X[a - e_j, c] + i m X[a, c - e_j] sigma^dag,
 
     summed over the sensors j excited in a and in c respectively, with
     kappa = |a| k + |c| conj(k).  Re kappa > 0, so every solve is regular,
-    exceptional points included.  Sensor populations are tr X[10, 10] and
-    tr X[01, 01] in units of (eta/m)^2, the coincidence tr X[11, 11] in
-    (eta/m)^4.  ``emitter_coherence`` is the emitter's steady <sigma>.
+    exceptional points included.
+
+    The constant b only shifts each sensor amplitude by the c-number
+    beta = -i m b / k, |beta| = b, so the components at b are binomial sums
+    of those at b = 0: X_b[a, c] sums beta^(|a| - |a'|) conj(beta)^(|c| - |c'|)
+    X[a', c'] over a' <= a and c' <= c, entry by entry.  Sensor populations
+    are tr X_b[10, 10] and tr X_b[01, 01] in units of (eta/m)^2, the
+    coincidence tr X_b[11, 11] in (eta/m)^4.  ``emitter_coherence`` is the
+    emitter's steady <sigma>.
     """
 
     def __init__(self, emitter, filter_width, filter_center=0.0, *, background_b=0.0):
         self.emitter = emitter
         self.filter_width = filter_width
         self.filter_center = filter_center
-        self.background_b = float(background_b)
 
         model = SystemModel(emitter)
         L = build_liouvillian(model)
@@ -152,9 +161,8 @@ class SensorPipeline:
 
         k = 0.5 * filter_width + 1j * filter_center
         m = abs(k)
-        field = model.sigma + self.background_b * np.eye(2)
-        emit = -1j * m * qmath.spre(field)
-        absorb = 1j * m * qmath.spost(field.conj().T)
+        emit = -1j * m * qmath.spre(model.sigma)
+        absorb = 1j * m * qmath.spost(model.sigma.conj().T)
         eye = np.eye(4)
         x = {((0, 0), (0, 0)): qmath.vec(rho)}
         for (n_ket, n_bra), pairs in _GROUPS:
@@ -167,18 +175,75 @@ class SensorPipeline:
             kappa = n_ket * k + n_bra * k.conjugate()
             x.update(zip(pairs, np.linalg.solve(kappa * eye - L, sources).T))
 
-        def trace(a, c):
-            return float(x[a, c][_DIAG].sum().real)
+        # X[a, c] at index [a1, a2, c1, c2]; its traces over (a1 a2, c1 c2).
+        self._components = np.empty((2, 2, 2, 2, 4), dtype=complex)
+        for (a, c), component in x.items():
+            self._components[a + c] = component
+        self._traces = (self._components @ _TRACE_ROW).reshape(4, 4)
+        self._rate = k
+        # The 16x16 trace generator is built on the first trace; every
+        # pipeline displaced from this one shares the slot of its propagator.
+        self._blocks = (L, emit, absorb)
+        self._propagator = [None]
+        self._displace(background_b)
 
-        self.scaled_populations = (trace((1, 0), (1, 0)), trace((0, 1), (0, 1)))
-        self._coincidence = trace((1, 1), (1, 1))
-        # After a jump on sensor 1 the sensor-1-ground components
-        # Y[s, s'] = X[1s, 1s'] evolve on their own, driven as above, with
-        # the probe sensor's kappa; tr Y[1, 1] is the coincidence numerator.
-        self._jumped = np.concatenate(
-            [x[(1, 0), (1, 0)], x[(1, 1), (1, 0)], x[(1, 0), (1, 1)], x[(1, 1), (1, 1)]]
-        )
-        # Block (row, column) of the generator over (Y00, Y10, Y01, Y11).
+    def _displace(self, background_b):
+        self.background_b = float(background_b)
+        beta = self._beta = -1j * abs(self._rate) * self.background_b / self._rate
+        # Ket weights over a' = 00, 01, 10, 11 in X_b[10, .], X_b[01, .] and
+        # X_b[11, .]; the bra weights are their conjugates.
+        weights = np.array([[beta, 0, 1, 0], [beta, 1, 0, 0], [beta * beta, beta, beta, 1]])
+        n1, n2, coincidence = ((weights @ self._traces) * weights.conj()).sum(axis=1).real
+        self.scaled_populations = (float(n1), float(n2))
+        self._coincidence = float(coincidence)
+
+    def _displaced(self, background_b):
+        """This pipeline at background amplitude b, sharing its b = 0
+        components and its propagator."""
+        pipeline = copy.copy(self)
+        pipeline._displace(background_b)
+        return pipeline
+
+    @property
+    def propagator(self):
+        """The trace propagator, or None until a delay has been propagated."""
+        return self._propagator[0]
+
+    def g2_zero(self):
+        """Normalized zero-delay coincidence tr[n1 n2 rho] / (<n1><n2>)."""
+        n1, n2 = self.scaled_populations
+        return self._coincidence / (n1 * n2)
+
+    def g2_values(self, taus):
+        """Filtered g2 on a tau grid: the sensor-2 population after a jump on
+        sensor 1, evolved by tau, over <n1><n2>.
+
+        After the jump the sensor-1-ground components Y[s, s'] = X_b[1s, 1s']
+        evolve on their own.  Their generator at b is D G D^-1, with G the
+        one at b = 0 and D the displacement of sensor 2, so Y is evolved by G
+        from D^-1 Y(0), which displaces sensor 1 only, and D is applied in
+        the probe: tr Y[1, 1] + beta tr Y[0, 1] + conj(beta) tr Y[1, 0]
+        + |beta|^2 tr Y[0, 0].
+        """
+        taus = _check_taus(taus)
+        if np.all(taus == 0.0):
+            return np.full(taus.shape, self.g2_zero())
+        shift = np.array([self._beta, 1.0])
+        # (Y00, Y10, Y01, Y11), Y[s, s'] at index 2 s' + s.
+        jumped = np.einsum("i,k,iskrt->rst", shift, shift.conj(), self._components).reshape(16)
+        probe = np.multiply.outer(np.outer(shift.conj(), shift), _TRACE_ROW).reshape(16)
+        if self._propagator[0] is None:
+            self._propagator[0] = qmath.Propagator(self._generator())
+        evolved = self._propagator[0].apply_grid(jumped, taus)
+        n1, n2 = self.scaled_populations
+        return _real_part(probe @ evolved / (n1 * n2), "filtered g2")
+
+    def _generator(self):
+        """The b = 0 generator over (Y00, Y10, Y01, Y11), driven as in the
+        hierarchy, with the probe sensor's kappa."""
+        L, emit, absorb = self._blocks
+        k = self._rate
+        eye = np.eye(4)
         blocks = {
             (0, 0): L,
             (1, 0): emit,
@@ -189,28 +254,10 @@ class SensorPipeline:
             (3, 2): emit,
             (3, 3): L - 2.0 * k.real * eye,
         }
-        self._generator = np.zeros((16, 16), dtype=complex)
+        generator = np.zeros((16, 16), dtype=complex)
         for (i, j), block in blocks.items():
-            self._generator[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = block
-        self._propagator = None
-
-    def g2_zero(self):
-        """Normalized zero-delay coincidence tr[n1 n2 rho] / (<n1><n2>)."""
-        n1, n2 = self.scaled_populations
-        return self._coincidence / (n1 * n2)
-
-    def g2_values(self, taus):
-        """Filtered g2 on a tau grid: the sensor-2 population after a jump on
-        sensor 1, evolved by tau, over <n1><n2>."""
-        taus = _check_taus(taus)
-        if np.all(taus == 0.0):
-            return np.full(taus.shape, self.g2_zero())
-        if self._propagator is None:
-            self._propagator = qmath.Propagator(self._generator)
-        evolved = self._propagator.apply_grid(self._jumped, taus)
-        numerator = evolved[12:][_DIAG].sum(axis=0)  # tr Y11
-        n1, n2 = self.scaled_populations
-        return _real_part(numerator / (n1 * n2), "filtered g2")
+            generator[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = block
+        return generator
 
 
 class TwoSensorModel:
@@ -344,10 +391,12 @@ def calibrate_background(pipeline, beta):
     n(b) = A + 2 Re<sigma> b + b^2 in the pipeline's units: the background
     alone drives the damped sensor with strength b m, m = |width/2 + i center|
     the reference coupling, which gives b^2.  b is the positive root of
-    (1 - beta) b^2 - beta B b - beta A = 0 with B = 2 Re<sigma>, and the one
-    solve at b checks the ratio.  That pipeline is returned; for beta = 0 it
-    is the given pipeline.  Its forward ratio needs no further solve:
-    ``p.background_b**2 / p.scaled_populations[0]``.
+    (1 - beta) b^2 - beta B b - beta A = 0 with B = 2 Re<sigma>.  The
+    returned pipeline is the given one displaced to b: it shares its solved
+    components and its propagator, and its n(b) takes the cross term from
+    the solved hierarchy, so the forward check compares two routes to the
+    same ratio.  For beta = 0 it is the given pipeline.  Its forward ratio
+    is ``p.background_b**2 / p.scaled_populations[0]``.
     """
     beta = float(beta)
     if not 0.0 <= beta <= MAX_BACKGROUND:
@@ -374,9 +423,7 @@ def calibrate_background(pipeline, beta):
     # Both forms avoid cancellation between beta * B and the root.
     solved = (beta * B + root) / (2.0 * a) if B >= 0.0 else 2.0 * beta * A / (root - beta * B)
 
-    calibrated = SensorPipeline(
-        pipeline.emitter, pipeline.filter_width, pipeline.filter_center, background_b=solved
-    )
+    calibrated = pipeline._displaced(solved)
     forward = solved**2 / calibrated.scaled_populations[0]
     if abs(forward - beta) > 1e-6:
         raise BackgroundCalibrationError(
@@ -440,6 +487,7 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
 
     pipeline = calibrate_background(SensorPipeline(emitter, filter_width, filter_center), beta)
     values = pipeline.g2_values(taus)
+    propagator = pipeline.propagator
     return CorrelationTrace(
         taus=taus,
         values=values,
@@ -452,6 +500,8 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
             "filter_center": filter_center,
             "beta": float(beta),
             "background_b": pipeline.background_b,
+            "propagator_method": None if propagator is None else propagator.method,
+            "propagator_condition": None if propagator is None else propagator.condition,
             "irf_applied": False,
         },
     )

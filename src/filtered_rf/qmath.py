@@ -102,12 +102,15 @@ class Propagator:
     afterwards costs one small matrix product.  If the eigenvector matrix
     is ill conditioned (near-defective L, which happens at parameter
     exceptional points), the instance falls back to scaling-and-squaring;
-    ``method`` records which path is active.
+    ``method`` records which path is active and ``condition`` the
+    eigenvector condition number that the eig path runs at (inf on the
+    expm path).
     """
 
     def __init__(self, generator):
         self.matrix = _as_square(generator, "generator")
         self.method = "expm"
+        self.condition = math.inf
         try:
             evals, evecs = np.linalg.eig(self.matrix)
             cond = np.linalg.cond(evecs)
@@ -115,6 +118,7 @@ class Propagator:
             cond = np.inf
         if np.isfinite(cond) and cond <= COND_LIMIT:
             self.method = "eig"
+            self.condition = float(cond)
             self._evals = evals
             self._evecs = evecs
 

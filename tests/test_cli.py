@@ -222,6 +222,27 @@ class TestConfigHandling:
         assert main(["g2-sweep", "--axis", "rabi", "--values", "", "--filter-width", "1.0", "-o", "-"]) == 1
         assert main(["g2-trace", "--filter-width", "1.0", "--beta", "0.5", "-o", "-"]) == 1
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("emitter", "detuning_over_gamma", "x"),
+            ("emitter", "detuning_over_gamma", None),
+            ("filter", "center_over_gamma", None),
+            ("filter", "center_over_gamma", "nan"),
+        ],
+    )
+    def test_invalid_offsets_exit_one(self, tmp_path, section, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        assert main(["g2-trace", "--config", str(cfg), "--filter-width", "1.0", "-o", "-"]) == 1
+
+    def test_negative_offsets_allowed(self, tmp_path):
+        code, _ = run(
+            tmp_path, "g2-trace", "--filter-width", "0.5", "--detuning", "-1.0",
+            "--filter-center", "-2.0", "--n-tau", "11",
+        )
+        assert code == 0
+
     def test_unknown_subcommand_exits_one(self):
         assert main(["not-a-command"]) == 1
         assert main([]) == 1

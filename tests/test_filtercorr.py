@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filtered_rf import filtercorr
+from filtered_rf import filtercorr, qmath
 from filtered_rf.dynamics import default_tau_grid, steady_state
 from filtered_rf.filtercorr import (
     BackgroundCalibrationError,
@@ -137,6 +139,24 @@ class TestFilteredG2:
         assert md["beta"] == 0.0
         assert md["irf_applied"] is False
         assert md["background_b"] == 0.0
+        # No delay to propagate, so no propagator ran.
+        assert md["propagator_method"] is None
+        assert md["propagator_condition"] is None
+
+    @pytest.mark.parametrize(
+        "rabi, width, method",
+        [(0.5, 0.29, "eig"), (2.0, 0.01, "eig"), (0.25, 1.0, "expm")],
+    )
+    def test_metadata_records_propagator(self, rabi, width, method):
+        # width = gamma at rabi = gamma/4: the generator is defective.
+        em = EmitterParams(gamma=1.0, rabi=rabi)
+        md = filtered_g2(em, width, beta=0.2, taus=np.linspace(0.0, 5.0, 11)).metadata
+        assert md["propagator_method"] == method
+        condition = md["propagator_condition"]
+        if method == "eig":
+            assert 1.0 <= condition <= qmath.COND_LIMIT
+        else:
+            assert condition == np.inf
 
 
 class TestVanishingCouplingLimit:
@@ -216,6 +236,33 @@ class TestVanishingCouplingLimit:
         got = SensorPipeline(em, width, center, background_b=b).g2_values(taus)
         ref = TwoSensorModel(em, width, center, 0.0, b).g2_values(taus)
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-8
+
+    @pytest.mark.parametrize(
+        "rabi, width, center",
+        [
+            *(
+                pytest.param(rabi, width, 0.0, id=f"fig2a-{rabi}-{width}")
+                for rabi in (0.5, 2.0)
+                for width in (150.0, 23.0, 4.85, 0.85, 0.29, 0.0125)
+            ),
+            pytest.param(0.25, 1.0, 0.0, id="defective-0.25"),
+            pytest.param(2.0, 1.0, 0.0, id="defective-2.0"),
+            pytest.param(0.25, 0.01, 2.0, id="narrow-detuned"),
+            pytest.param(2.0, 0.01, 2.0, id="sideband-0.01"),
+            pytest.param(2.0, 0.0125, 2.0, id="sideband-0.0125"),
+            pytest.param(9.99, 0.0125, 1.96, id="strong-sideband"),
+        ],
+    )
+    def test_calibrated_pipeline_matches_two_sensor_limit(self, rabi, width, center):
+        # The calibrated pipeline is the b = 0 solution displaced to b; the
+        # 64-dim model solves at b directly.
+        em = EmitterParams(gamma=1.0, rabi=rabi)
+        pipe = calibrate_background(SensorPipeline(em, width, center), 0.2)
+        ref = TwoSensorModel(em, width, center, 0.0, pipe.background_b)
+        assert pipe.g2_zero() == pytest.approx(ref.g2_zero(), rel=1e-12)
+        taus = default_tau_grid(em, (width,))
+        got, expected = pipe.g2_values(taus), ref.g2_values(taus)
+        assert np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) < 1e-8
 
     @pytest.mark.parametrize(
         "rabi, width, center, b",
@@ -363,18 +410,39 @@ class TestSweep:
 
     @pytest.mark.parametrize("irf", [None, GaussianIRF(fwhm=1.14)])
     def test_one_pipeline_per_solve(self, monkeypatch, irf):
-        # b = 0 once, then the one solve at the calibrated b of beta = 0.2;
-        # the cross term 2 Re<sigma> comes from the b = 0 pipeline.
+        # One b = 0 solve; beta = 0.2 displaces it to the calibrated b and
+        # shares its propagator, which only the IRF smear builds.
         built = []
+        propagators = []
 
         class CountingPipeline(SensorPipeline):
             def __init__(self, *args, **kwargs):
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
+        class CountingPropagator(qmath.Propagator):
+            def __init__(self, *args, **kwargs):
+                propagators.append(args)
+                super().__init__(*args, **kwargs)
+
         monkeypatch.setattr(filtercorr, "SensorPipeline", CountingPipeline)
+        monkeypatch.setattr(qmath, "Propagator", CountingPropagator)
         sweep_point(STRONG, "filter_width", 0.29, None, 0.0, 0.0, 0.2, irf)
-        assert len(built) == 2
+        assert len(built) == 1
+        assert len(propagators) == (0 if irf is None else 1)
+
+    @pytest.mark.parametrize("irf", [None, GaussianIRF(fwhm=1.14)])
+    def test_sweep_point_leaves_no_cyclic_garbage(self, irf):
+        # Pipelines share arrays without reference cycles, so a point's
+        # memory is freed at once, not at the next cyclic collection.
+        sweep_point(STRONG, "filter_width", 0.29, None, 0.0, 0.0, 0.2, irf)  # warm imports
+        gc.collect()
+        gc.disable()
+        try:
+            sweep_point(STRONG, "filter_width", 0.29, None, 0.0, 0.0, 0.2, irf)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("width", [150.0, 0.0125, 1.0])
     def test_irf_smear_matches_full_trace(self, width):

@@ -93,6 +93,17 @@ class TestExpmApply:
         twice = prop.apply(prop.apply(v, 0.5), 0.3)
         assert np.linalg.norm(once - twice) / np.linalg.norm(once) < 1e-9
 
+    def test_keeps_eigenvector_condition(self):
+        # A normal generator has unitary eigenvectors (condition 1); a
+        # non-normal one keeps the condition number that eig ran at.
+        assert qmath.Propagator(np.diag([-1.0, -2.0j, 0.0])).condition == pytest.approx(1.0)
+        L = np.array([[-1.0, 10.0], [0.0, -2.0]], dtype=complex)
+        prop = qmath.Propagator(L)
+        assert prop.method == "eig"
+        evecs = np.linalg.eig(L)[1]
+        assert prop.condition == pytest.approx(np.linalg.cond(evecs), rel=1e-12)
+        assert 1.0 < prop.condition <= qmath.COND_LIMIT
+
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
             qmath.Propagator(np.eye(2) * np.nan)
@@ -106,6 +117,7 @@ class TestPropagatorFallback:
         L = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         prop = qmath.Propagator(L)
         assert prop.method == "expm"
+        assert prop.condition == np.inf
         got = prop.apply(np.array([1.0, 1.0], dtype=complex), 2.0)
         assert np.allclose(got, [3.0, 1.0], atol=1e-12)  # exp(Lt) = [[1, t], [0, 1]]
 
