@@ -18,8 +18,10 @@ from .system import (
     dissipator,
 )
 from .dynamics import (
+    EmitterState,
     SteadyState,
     default_tau_grid,
+    emitter_state,
     first_order_coherence,
     steady_state,
     two_time_correlator,
@@ -69,6 +71,8 @@ __all__ = [
     "Propagator",
     "SteadyStateError",
     "steady_vector",
+    "EmitterState",
+    "emitter_state",
     "SteadyState",
     "steady_state",
     "two_time_correlator",

@@ -91,11 +91,12 @@ def _merge(base, override, context=""):
     return merged
 
 
-def _require_number(config, section, key, minimum=None, strict=False, optional=False):
+def _require_number(config, section, key, minimum=None, strict=False):
+    """Validate config[section][key] as a finite number, store it back as a
+    float (so a numeric string from a config file computes and embeds as a
+    number), and return it."""
     value = config[section][key]
     if value is None:
-        if optional:
-            return None
         raise ConfigError(f"{section}.{key} is required")
     try:
         value = float(value)
@@ -106,6 +107,7 @@ def _require_number(config, section, key, minimum=None, strict=False, optional=F
     if minimum is not None and (value < minimum or (strict and value == minimum)):
         bound = "greater than" if strict else "at least"
         raise ConfigError(f"{section}.{key} must be {bound} {minimum}, got {value}")
+    config[section][key] = value
     return value
 
 
@@ -159,8 +161,7 @@ def resolve_config(args):
     if beta_lo > beta_hi:
         raise ConfigError(f"background.beta_lo = {beta_lo} exceeds beta_hi = {beta_hi}")
     _require_number(config, "irf", "fwhm_ps", minimum=0.0, strict=True)
-    n_tau = int(_require_number(config, "grid", "n_tau", minimum=3))
-    config["grid"]["n_tau"] = n_tau
+    config["grid"]["n_tau"] = int(_require_number(config, "grid", "n_tau", minimum=3))
     config["grid"]["n_omega"] = int(_require_number(config, "grid", "n_omega", minimum=3))
     if config["output"]["format"] not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {config['output']['format']!r}")

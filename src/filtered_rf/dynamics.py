@@ -3,11 +3,15 @@
 The quantum regression theorem reduces every two-time average used here to
 "evolve an operator-valued initial condition with the same Liouvillian,
 then trace against a probe", so one propagator serves a whole tau grid.
+The driven emitter's own steady state is known in closed form
+(:func:`emitter_state`); :func:`steady_state` solves any Liouvillian
+numerically and serves as its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +19,8 @@ from . import qmath
 from .system import SystemModel, build_liouvillian
 
 __all__ = [
+    "EmitterState",
+    "emitter_state",
     "SteadyState",
     "steady_state",
     "two_time_correlator",
@@ -68,6 +74,39 @@ def steady_state(liouvillian):
     return SteadyState(rho=rho, residual=residual)
 
 
+class EmitterState(NamedTuple):
+    """The driven emitter on its own 2-dim space, in the {|g>, |e>} basis."""
+
+    sigma: np.ndarray  # lowering operator |g><e|
+    liouvillian: np.ndarray  # L_e, 4x4 on column-stacked density operators
+    rho: np.ndarray  # steady state
+    coherent_fraction: float  # |<sigma>|^2 / rho_ee, the elastic share of the emission
+
+
+def emitter_state(emitter):
+    """Liouvillian and closed-form steady state of the driven two-level emitter.
+
+    With D = detuning^2 + gamma^2/4 + rabi^2/2 the optical Bloch equations
+    give rho_ee = (rabi^2/4)/D and <sigma> = rho_eg = -(rabi/2)(detuning
+    + i gamma/2)/D, so the coherent fraction |<sigma>|^2/rho_ee is
+    (detuning^2 + gamma^2/4)/D, formed here as 1/(1 + (rabi^2/2)/(detuning^2
+    + gamma^2/4)): exactly 1 without drive.  The residual ||L_e vec(rho)||
+    is held to the bound of :func:`qmath.steady_vector`, so a closed form
+    that drifted from the Hamiltonian convention of ``build_liouvillian``
+    raises :class:`qmath.SteadyStateError`.
+    """
+    model = SystemModel(emitter)
+    L = build_liouvillian(model)
+    undriven = emitter.detuning**2 + emitter.gamma**2 / 4.0
+    D = undriven + emitter.rabi**2 / 2.0
+    excited = emitter.rabi**2 / 4.0 / D
+    coherence = -0.5 * emitter.rabi * complex(emitter.detuning, 0.5 * emitter.gamma) / D
+    rho = np.array([[1.0 - excited, coherence.conjugate()], [coherence, excited]])
+    qmath._check_residual(L, qmath.vec(rho), np.linalg.norm(L))
+    fraction = 1.0 / (1.0 + emitter.rabi**2 / 2.0 / undriven)
+    return EmitterState(sigma=model.sigma, liouvillian=L, rho=rho, coherent_fraction=fraction)
+
+
 def _check_taus(taus):
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if taus.size == 0:
@@ -81,21 +120,22 @@ def _check_taus(taus):
 
 def two_time_correlator(liouvillian, left, right, probe, taus):
     """tr[probe exp(L tau)(left rho_ss right)] on an ascending tau grid."""
-    taus = _check_taus(taus)
     rho = steady_state(liouvillian).rho
     x0 = np.asarray(left, dtype=complex) @ rho @ np.asarray(right, dtype=complex)
-    prop = qmath.Propagator(liouvillian)
-    evolved = prop.apply_grid(qmath.vec(x0), taus)
-    probe = np.asarray(probe, dtype=complex)
-    return qmath.vec(probe.T) @ evolved
+    return _regress(liouvillian, x0, probe, taus)
+
+
+def _regress(liouvillian, x0, probe, taus):
+    """tr[probe exp(L tau) x0] on an ascending tau grid."""
+    taus = _check_taus(taus)
+    evolved = qmath.Propagator(liouvillian).apply_grid(qmath.vec(x0), taus)
+    return qmath.vec(np.asarray(probe, dtype=complex).T) @ evolved
 
 
 def first_order_coherence(params, taus):
     """g1(tau) = <sigma^dag(tau) sigma(0)> of the bare emitter."""
-    model = SystemModel(params)
-    L = build_liouvillian(model)
-    sigma = model.sigma
-    return two_time_correlator(L, sigma, model.identity(), sigma.conj().T, taus)
+    sigma, L, rho, _ = emitter_state(params)
+    return _regress(L, sigma @ rho, sigma.conj().T, taus)
 
 
 def default_tau_grid(emitter, filter_widths=(), n=DEFAULT_TAU_POINTS):

@@ -22,13 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qmath
-from .dynamics import (
-    DEFAULT_TAU_POINTS,
-    _check_taus,
-    default_tau_grid,
-    steady_state,
-    two_time_correlator,
-)
+from .dynamics import DEFAULT_TAU_POINTS, _check_taus, _regress, default_tau_grid, emitter_state
 from .system import SensorConfig, SystemModel, build_liouvillian
 
 __all__ = [
@@ -131,8 +125,8 @@ class SensorPipeline:
     ket excitation a = (a1, a2) and bra excitation c = (c1, c2), in units of
     (eta/m)^(|a| + |c|) with m = |k|, k = width/2 + i center the filter's
     response rate.  The hierarchy is solved once, at b = 0: X[00, 00] is the
-    emitter's steady state, and every other component solves, from the ones
-    one excitation lower,
+    emitter's closed-form steady state (:func:`emitter_state`), and every
+    other component solves, from the ones one excitation lower,
 
         (kappa - L_e) X[a, c] = -i m sigma X[a - e_j, c] + i m X[a, c - e_j] sigma^dag,
 
@@ -154,15 +148,13 @@ class SensorPipeline:
         self.filter_width = filter_width
         self.filter_center = filter_center
 
-        model = SystemModel(emitter)
-        L = build_liouvillian(model)
-        rho = qmath.unvec(qmath.steady_vector(L))
-        self.emitter_coherence = complex(np.trace(model.sigma @ rho))
+        sigma, L, rho, _ = emitter_state(emitter)
+        self.emitter_coherence = complex(rho[1, 0])
 
         k = 0.5 * filter_width + 1j * filter_center
         m = abs(k)
-        emit = -1j * m * qmath.spre(model.sigma)
-        absorb = 1j * m * qmath.spost(model.sigma.conj().T)
+        emit = -1j * m * qmath.spre(sigma)
+        absorb = 1j * m * qmath.spost(sigma.conj().T)
         eye = np.eye(4)
         x = {((0, 0), (0, 0)): qmath.vec(rho)}
         for (n_ket, n_bra), pairs in _GROUPS:
@@ -359,12 +351,10 @@ def unfiltered_g2(emitter, taus=None):
     if taus is None:
         taus = default_tau_grid(emitter)
     taus = _check_taus(taus)
-    model = SystemModel(emitter)
-    L = build_liouvillian(model)
-    sigma = model.sigma
+    sigma, L, rho, _ = emitter_state(emitter)
     number = sigma.conj().T @ sigma
-    pop = float(np.real(np.trace(number @ steady_state(L).rho)))
-    raw = two_time_correlator(L, sigma, sigma.conj().T, number, taus)
+    pop = rho[1, 1].real
+    raw = _regress(L, sigma @ rho @ sigma.conj().T, number, taus)
     values = _real_part(raw / pop**2, "unfiltered g2")
     return CorrelationTrace(
         taus=taus,

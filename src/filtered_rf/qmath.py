@@ -44,7 +44,7 @@ def _as_square(a, name="operator"):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -226,10 +226,16 @@ def steady_vector(liouvillian, check_degeneracy=True):
         raise SteadyStateError("null vector has zero trace; cannot normalize")
     v = v / trace
 
-    residual = np.linalg.norm(L @ v)
+    _check_residual(L, v, norm_L)
+    return v
+
+
+def _check_residual(liouvillian, v, norm_L):
+    """Raise :class:`SteadyStateError` if the steady vector v leaves a
+    residual ||L v|| above NULLSPACE_TOL * ||L|| * max(1, ||v||)."""
+    residual = np.linalg.norm(liouvillian @ v)
     if residual > NULLSPACE_TOL * norm_L * max(1.0, np.linalg.norm(v)):
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds "
             f"{NULLSPACE_TOL:.1e} * ||L|| = {NULLSPACE_TOL * norm_L:.3e}"
         )
-    return v

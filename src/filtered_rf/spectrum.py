@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .dynamics import steady_state
-from .system import EmitterParams, SystemModel, build_liouvillian
+from .dynamics import emitter_state
+from .system import EmitterParams
 
 __all__ = [
     "SpectralComponent",
@@ -67,8 +67,10 @@ class SpectrumDecomposition:
 
 
 def coherent_fraction(emitter):
-    """Fraction of the emission that is elastically scattered: 1/(1 + 2 rabi^2/gamma^2)."""
-    return 1.0 / (1.0 + 2.0 * emitter.rabi**2 / emitter.gamma**2)
+    """Fraction of the emission that is elastically scattered,
+    (detuning^2 + gamma^2/4) / (detuning^2 + gamma^2/4 + rabi^2/2); at
+    resonance 1/(1 + 2 rabi^2/gamma^2)."""
+    return emitter_state(emitter).coherent_fraction
 
 
 def _sideband_splitting(emitter):
@@ -87,12 +89,9 @@ def _classify(center, splitting):
 
 def _pole_components(emitter):
     """Elastic weight, total emission, and incoherent pole data (residue, eigenvalue)."""
-    model = SystemModel(emitter)
-    L = build_liouvillian(model)
-    rho = steady_state(L).rho
-    sigma = model.sigma
-    total = float(np.real(np.trace(sigma.conj().T @ sigma @ rho)))
-    elastic = float(abs(np.trace(sigma @ rho)) ** 2)
+    sigma, L, rho, _ = emitter_state(emitter)
+    total = float(rho[1, 1].real)
+    elastic = float(abs(rho[1, 0]) ** 2)
 
     evals, evecs = np.linalg.eig(L)
     weights = np.linalg.solve(evecs, qmath.vec(sigma @ rho))

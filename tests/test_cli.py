@@ -236,6 +236,24 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({section: {key: value}}))
         assert main(["g2-trace", "--config", str(cfg), "--filter-width", "1.0", "-o", "-"]) == 1
 
+    @pytest.mark.parametrize(
+        "section, key, value, flags",
+        [
+            ("emitter", "gamma_ueV", "20", ["--gamma-uev", "20"]),
+            ("emitter", "detuning_over_gamma", "0.5", ["--detuning", "0.5"]),
+        ],
+    )
+    @pytest.mark.parametrize("subcommand", ["g2-trace", "transmission"])
+    def test_numeric_strings_compute_as_numbers(self, tmp_path, section, key, value, flags, subcommand):
+        cfg = tmp_path / "strings.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        width = ["--filter-width", "0.29", "--n-tau", "101"] if subcommand == "g2-trace" else []
+        code, text = run(tmp_path, subcommand, "--config", str(cfg), *width)
+        assert code == 0
+        code, expected = run(tmp_path, subcommand, *flags, *width, name="flags.csv")
+        assert code == 0
+        assert text == expected
+
     def test_negative_offsets_allowed(self, tmp_path):
         code, _ = run(
             tmp_path, "g2-trace", "--filter-width", "0.5", "--detuning", "-1.0",

@@ -1,14 +1,23 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from filtered_rf import qmath
+import filtered_rf.cli  # noqa: F401  (binds every module whose solver calls are patched below)
+from filtered_rf import dynamics, qmath
 from filtered_rf.dynamics import (
     default_tau_grid,
+    emitter_state,
     first_order_coherence,
     steady_state,
     two_time_correlator,
 )
-from filtered_rf.system import EmitterParams, SystemModel, build_liouvillian
+from filtered_rf.filtercorr import filtered_g2, sweep_point, unfiltered_g2
+from filtered_rf.instrument import GaussianIRF
+from filtered_rf.spectrum import emission_spectrum, filtered_fractions
+from filtered_rf.system import HBAR_UEV_PS, EmitterParams, SystemModel, build_liouvillian
 
 from oracles import bloch_rk4, bloch_steady_excited
 
@@ -48,6 +57,76 @@ class TestSteadyState:
         assert np.allclose(ss.rho, ss.rho.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(ss.rho).min() >= -1e-10
         assert ss.residual < 1e-10 * np.linalg.norm(L, 2)
+
+
+class TestEmitterState:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(0.01, 100.0),
+        rabi=st.floats(0.0, 100.0),
+        detuning=st.floats(-5.0, 5.0),
+    )
+    @example(gamma=1.0, rabi=0.0, detuning=0.0)
+    @example(gamma=0.01, rabi=0.0, detuning=-5.0)
+    @example(gamma=1.0, rabi=0.25, detuning=0.0)  # Mollow threshold
+    def test_matches_numerical_solve(self, gamma, rabi, detuning):
+        # rabi and detuning in units of gamma.
+        em = EmitterParams(gamma=gamma, rabi=rabi * gamma, detuning=detuning * gamma)
+        state = emitter_state(em)
+        solved = qmath.unvec(qmath.steady_vector(state.liouvillian))
+        assert np.max(np.abs(state.rho - solved)) < 1e-13
+
+    def test_blocks_match_system_model(self):
+        em = EmitterParams(gamma=1.3, rabi=0.7, detuning=-0.4)
+        state = emitter_state(em)
+        model = SystemModel(em)
+        assert np.array_equal(state.sigma, model.sigma)
+        assert np.array_equal(state.liouvillian, build_liouvillian(model))
+
+    def test_residual_check_catches_a_wrong_convention(self, monkeypatch):
+        # A Liouvillian with the detuning's sign flipped no longer fits the
+        # closed form, as a sign-convention drift would; the residual says so.
+        em = EmitterParams(gamma=1.0, rabi=0.5, detuning=0.5)
+        flipped = build_liouvillian(SystemModel(EmitterParams(gamma=1.0, rabi=0.5, detuning=-0.5)))
+        monkeypatch.setattr(dynamics, "build_liouvillian", lambda model: flipped)
+        with pytest.raises(qmath.SteadyStateError, match="residual"):
+            emitter_state(em)
+
+
+def test_result_paths_run_no_numerical_steady_solve(monkeypatch):
+    # Every binding of the numerical solvers raises; the README figure
+    # traffic, the spectra and the bare-emitter correlations must not reach
+    # them, because the emitter's steady state is in closed form.
+    solvers = (qmath.steady_vector, dynamics.steady_state)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a result path ran a numerical steady solve")
+
+    for name, module in list(sys.modules.items()):
+        if name == "filtered_rf" or name.startswith("filtered_rf."):
+            for key, value in list(vars(module).items()):
+                if any(value is solver for solver in solvers):
+                    monkeypatch.setattr(module, key, refuse)
+
+    gamma = 20.0 / HBAR_UEV_PS
+    irf = GaussianIRF(fwhm=37.5)
+    weak = EmitterParams(gamma=gamma, rabi=0.5 * gamma, laser_linewidth=0.01 / HBAR_UEV_PS)
+    for width in (150.0, 23.0, 4.85, 0.85, 0.29, 0.0125):  # fig2a, with the IRF
+        sweep_point(weak, "filter_width", width * gamma, None, 0.0, 0.0, 0.0, irf)
+    for width in (0.05, 0.1, 0.29, 1.0):  # the beta = 0.2 band
+        sweep_point(weak, "filter_width", width * gamma, None, 0.0, 0.0, 0.2, None)
+    for width in (0.29, 0.85, 4.85):
+        filtered_g2(weak, width * gamma)
+    for rabi in (0.5, 2.0, 4.0):
+        em = EmitterParams(gamma=gamma, rabi=rabi * gamma, laser_linewidth=weak.laser_linewidth)
+        span = (2.0 * rabi + 10.0) * gamma
+        emission_spectrum(em, np.linspace(-span, span, 401))
+    for rabi in (0.5, 1.0, 2.0, 4.0):  # fig4b, etalon preset
+        em = EmitterParams(gamma=gamma, rabi=rabi * gamma, laser_linewidth=weak.laser_linewidth)
+        filtered_fractions(em, 0.29 * gamma)
+    taus = default_tau_grid(weak)
+    unfiltered_g2(weak, taus)
+    first_order_coherence(weak, taus)
 
 
 class TestTwoTimeCorrelator:

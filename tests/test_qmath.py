@@ -63,6 +63,19 @@ class TestKron:
             qmath.kron(np.ones((2, 3)), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [1j * np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
+def test_non_finite_entries_rejected(bad):
+    # A complex entry is non-finite when either part is.
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        qmath.kron(a, np.eye(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        qmath.spre(a)
+    with pytest.raises(ValueError, match="non-finite"):
+        qmath.Propagator(a)
+
+
 class TestExpmApply:
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(5)

@@ -35,6 +35,22 @@ class TestCoherentFraction:
         em = EmitterParams(gamma=1.0, rabi=rabi)
         assert abs(coherent_fraction(em) - steady_ratio(rabi)) < 1e-10
 
+    @pytest.mark.parametrize("detuning", [-2.0, -0.5, 0.5, 2.0])
+    def test_matches_spectrum_when_detuned(self, detuning):
+        em = EmitterParams(gamma=1.0, rabi=0.5, detuning=detuning, laser_linewidth=5e-4)
+        dec = emission_spectrum(em, np.linspace(-30.0, 30.0, 101))
+        assert abs(coherent_fraction(em) - dec.weight("coherent")) < 1e-12
+
+    @pytest.mark.parametrize("gamma, rabi", [(1.0, 0.5), (0.03, 0.07), (37.0, 0.9), (2.5, 250.0)])
+    def test_resonant_values_keep_the_resonant_formula(self, gamma, rabi):
+        em = EmitterParams(gamma=gamma, rabi=rabi)
+        assert coherent_fraction(em) == 1.0 / (1.0 + 2.0 * rabi**2 / gamma**2)
+
+    def test_detuned_closed_form(self):
+        # (detuning^2 + gamma^2/4) / (detuning^2 + gamma^2/4 + rabi^2/2)
+        em = EmitterParams(gamma=1.0, rabi=0.5, detuning=0.5)
+        assert abs(coherent_fraction(em) - 0.8) < 1e-15
+
     def test_strictly_decreasing(self):
         vals = [coherent_fraction(EmitterParams(gamma=1.0, rabi=r)) for r in np.linspace(0, 5, 21)]
         assert np.all(np.diff(vals) < 0.0)
