@@ -235,14 +235,18 @@ def sweep_values(config):
 # --- output writing ----------------------------------------------------------
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    return repr(float(value))
+def _text_cell(text):
+    """Text as a CSV cell, quoted (RFC 4180) when it holds a comma, a double
+    quote or a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(values):
+    """One column's CSV cells: the shortest round-trip repr of each number,
+    "" for None, and text through :func:`_text_cell`."""
+    return ["" if v is None else _text_cell(v) if isinstance(v, str) else repr(float(v)) for v in values]
 
 
 def _embeddable(config):
@@ -251,8 +255,11 @@ def _embeddable(config):
     return embedded
 
 
-def write_output(subcommand, config, columns, rows, units, extra=None):
-    """Write rows as CSV with '#' metadata headers, or as mirrored JSON."""
+def write_output(subcommand, config, table, units, extra=None):
+    """Write a table, column name -> 1-D array or list in column order, as
+    CSV with '#' metadata headers, or as mirrored JSON; units follow that order."""
+    columns = list(table)
+    values = [v.tolist() if isinstance(v, np.ndarray) else v for v in table.values()]
     config_json = json.dumps(_embeddable(config), sort_keys=True)
     if config["output"]["format"] == "csv":
         lines = [f"# filtered-rf {subcommand}", f"# config: {config_json}"]
@@ -261,8 +268,7 @@ def write_output(subcommand, config, columns, rows, units, extra=None):
             for key, value in extra.items():
                 lines.append(f"# {key}: {json.dumps(value, sort_keys=True)}")
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_format_cell(row.get(c)) for c in columns))
+        lines.extend(map(",".join, zip(*map(_cells, values))))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -271,7 +277,7 @@ def write_output(subcommand, config, columns, rows, units, extra=None):
             "config": json.loads(config_json),
             "columns": columns,
             "units": dict(zip(columns, units)),
-            "rows": [[None if row.get(c) is None else row.get(c) for c in columns] for row in rows],
+            "rows": list(zip(*values)),
         }
         if extra:
             payload.update(extra)
@@ -304,25 +310,14 @@ def cmd_g2_trace(config):
     def smeared(values):
         return irf_convolve(CorrelationTrace(taus=taus, values=values), irf).values
 
-    columns = ["tau_ps", "g2"]
-    units = ["ps", "dimensionless"]
-    series = {"g2": lo_values}
+    table = {"tau_ps": taus, "g2": lo_values}
     if irf is not None:
-        series["g2_irf"] = smeared(lo_values)
-        columns.append("g2_irf")
-        units.append("dimensionless")
+        table["g2_irf"] = smeared(lo_values)
     if beta_hi > beta_lo:
         hi_values = calibrate_background(ideal, beta_hi).g2_values(taus)
-        series["g2_lo"] = lo_values if irf is None else series["g2_irf"]
-        series["g2_hi"] = hi_values if irf is None else smeared(hi_values)
-        columns += ["g2_lo", "g2_hi"]
-        units += ["dimensionless", "dimensionless"]
-
-    rows = [
-        {"tau_ps": taus[i], **{name: vals[i] for name, vals in series.items()}}
-        for i in range(taus.size)
-    ]
-    write_output("g2-trace", config, columns, rows, units)
+        table["g2_lo"] = lo_values if irf is None else table["g2_irf"]
+        table["g2_hi"] = hi_values if irf is None else smeared(hi_values)
+    write_output("g2-trace", config, table, ["ps"] + ["dimensionless"] * (len(table) - 1))
     return 0
 
 
@@ -347,17 +342,17 @@ def _run_sweep(subcommand, config, columns, point):
         x_column = "filter_width_over_gamma"
         points = [(emitter, x * emitter.gamma) for x in values]
 
-    rows = []
-    for x, args in zip(values, points):
+    rows, errors = [], []
+    for args in points:
         try:
             row, error = point(*args), None
         except Exception as exc:  # per-point failure record
             row, error = {}, f"{type(exc).__name__}: {exc}"
-        rows.append({**row, x_column: x, "error": error})
-    columns = [x_column, *columns, "error"]
-    units = ["dimensionless"] * (len(columns) - 1) + ["text"]
-    write_output(subcommand, config, columns, rows, units)
-    return 2 if any(row["error"] for row in rows) else 0
+        rows.append(row)
+        errors.append(error)
+    table = {x_column: values, **{c: [row.get(c) for row in rows] for c in columns}, "error": errors}
+    write_output(subcommand, config, table, ["dimensionless"] * (len(table) - 1) + ["text"])
+    return 2 if any(errors) else 0
 
 
 def cmd_g2_sweep(config):
@@ -376,20 +371,11 @@ def cmd_spectrum(config):
     emitter = build_emitter(config)
     omegas = omega_grid(config, emitter)
     decomposition = emission_spectrum(emitter, omegas)
-    columns = ["omega_ueV", "s_per_ueV"]
-    units = ["ueV", "1/ueV"]
-    values_per_uev = decomposition.values / HBAR_UEV_PS
-    series = {"s_per_ueV": values_per_uev}
+    table = {"omega_ueV": omegas * HBAR_UEV_PS, "s_per_ueV": decomposition.values / HBAR_UEV_PS}
     spectral_fwhm = config["irf"]["spectral_fwhm_ueV"]
     if spectral_fwhm is not None:
         irf = GaussianIRF(float(spectral_fwhm) / HBAR_UEV_PS)
-        series["s_irf_per_ueV"] = spectral_irf_convolve(omegas, decomposition.values, irf) / HBAR_UEV_PS
-        columns.append("s_irf_per_ueV")
-        units.append("1/ueV")
-    rows = [
-        {"omega_ueV": omegas[i] * HBAR_UEV_PS, **{k: v[i] for k, v in series.items()}}
-        for i in range(omegas.size)
-    ]
+        table["s_irf_per_ueV"] = spectral_irf_convolve(omegas, decomposition.values, irf) / HBAR_UEV_PS
     components = [
         {
             "kind": c.kind,
@@ -399,30 +385,24 @@ def cmd_spectrum(config):
         }
         for c in decomposition.components
     ]
-    write_output("spectrum", config, columns, rows, units, extra={"components": components})
+    units = ["ueV"] + ["1/ueV"] * (len(table) - 1)
+    write_output("spectrum", config, table, units, extra={"components": components})
     return 0
 
 
 def cmd_transmission(config):
     emitter = build_emitter(config)
-    if config["sweep"]["values"]:
-        sweep_values(config)
-    else:
+    if not config["sweep"]["values"]:
         config["sweep"]["values"] = [float(v) for v in np.logspace(-2.0, 3.0, 101)]
-    rows = []
-    for rel in config["sweep"]["values"]:
-        width = rel * emitter.gamma
-        rows.append(
-            {
-                "filter_width_over_gamma": rel,
-                "filter_width_ueV": width * HBAR_UEV_PS,
-                "t_coherent": lorentzian_transmission(emitter.laser_linewidth, width, 0.0),
-                "t_incoherent": lorentzian_transmission(emitter.gamma, width, 0.0),
-            }
-        )
-    columns = ["filter_width_over_gamma", "filter_width_ueV", "t_coherent", "t_incoherent"]
-    units = ["dimensionless", "ueV", "dimensionless", "dimensionless"]
-    write_output("transmission", config, columns, rows, units)
+    rels = sweep_values(config)
+    widths = [rel * emitter.gamma for rel in rels]
+    table = {
+        "filter_width_over_gamma": rels,
+        "filter_width_ueV": [w * HBAR_UEV_PS for w in widths],
+        "t_coherent": [lorentzian_transmission(emitter.laser_linewidth, w, 0.0) for w in widths],
+        "t_incoherent": [lorentzian_transmission(emitter.gamma, w, 0.0) for w in widths],
+    }
+    write_output("transmission", config, table, ["dimensionless", "ueV", "dimensionless", "dimensionless"])
     return 0
 
 

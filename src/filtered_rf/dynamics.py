@@ -107,6 +107,13 @@ def emitter_state(emitter):
     return EmitterState(sigma=model.sigma, liouvillian=L, rho=rho, coherent_fraction=fraction)
 
 
+def _require_emission(population, what):
+    """A population that normalizes a result; without drive it vanishes."""
+    if not population > 0.0:
+        raise ValueError(f"no emission without drive: {what} is {population:.3g}")
+    return population
+
+
 def _check_taus(taus):
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if taus.size == 0:
@@ -138,15 +145,20 @@ def first_order_coherence(params, taus):
     return _regress(L, sigma @ rho, sigma.conj().T, taus)
 
 
-def default_tau_grid(emitter, filter_widths=(), n=DEFAULT_TAU_POINTS):
-    """Uniform tau grid covering emitter decay, filter response, and Rabi cycles.
-
-    Span = max(20/gamma, 20/min(filter widths), 10 Rabi periods).
-    """
+def _default_span(emitter, filter_widths=()):
+    """The span of :func:`default_tau_grid`."""
     span = 20.0 / emitter.gamma
     widths = [w for w in filter_widths if w is not None]
     if widths:
         span = max(span, 20.0 / min(widths))
     if emitter.rabi > 0.0:
         span = max(span, 10.0 * 2.0 * np.pi / emitter.rabi)
-    return np.linspace(0.0, span, n)
+    return span
+
+
+def default_tau_grid(emitter, filter_widths=(), n=DEFAULT_TAU_POINTS):
+    """Uniform tau grid covering emitter decay, filter response, and Rabi cycles.
+
+    Span = max(20/gamma, 20/min(filter widths), 10 Rabi periods).
+    """
+    return np.linspace(0.0, _default_span(emitter, filter_widths), n)

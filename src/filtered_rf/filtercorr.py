@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qmath
-from .dynamics import DEFAULT_TAU_POINTS, _check_taus, _regress, default_tau_grid, emitter_state
+from .dynamics import DEFAULT_TAU_POINTS, _check_taus, _default_span, _regress, _require_emission
+from .dynamics import default_tau_grid, emitter_state
 from .system import SensorConfig, SystemModel, build_liouvillian
 
 __all__ = [
@@ -144,6 +145,10 @@ class SensorPipeline:
     """
 
     def __init__(self, emitter, filter_width, filter_center=0.0, *, background_b=0.0):
+        if not 0.0 < filter_width < math.inf:
+            raise ValueError(f"filter width must be finite and > 0, got {filter_width}")
+        if not math.isfinite(filter_center):
+            raise ValueError(f"filter center must be finite, got {filter_center}")
         self.emitter = emitter
         self.filter_width = filter_width
         self.filter_center = filter_center
@@ -201,10 +206,14 @@ class SensorPipeline:
         """The trace propagator, or None until a delay has been propagated."""
         return self._propagator[0]
 
+    def _normalization(self):
+        """<n1><n2> in the pipeline's units."""
+        n1, n2 = self.scaled_populations
+        return _require_emission(n1 * n2, "the sensor population product")
+
     def g2_zero(self):
         """Normalized zero-delay coincidence tr[n1 n2 rho] / (<n1><n2>)."""
-        n1, n2 = self.scaled_populations
-        return self._coincidence / (n1 * n2)
+        return self._coincidence / self._normalization()
 
     def g2_values(self, taus):
         """Filtered g2 on a tau grid: the sensor-2 population after a jump on
@@ -227,8 +236,7 @@ class SensorPipeline:
         if self._propagator[0] is None:
             self._propagator[0] = qmath.Propagator(self._generator())
         evolved = self._propagator[0].apply_grid(jumped, taus)
-        n1, n2 = self.scaled_populations
-        return _real_part(probe @ evolved / (n1 * n2), "filtered g2")
+        return _real_part(probe @ evolved / self._normalization(), "filtered g2")
 
     def _generator(self):
         """The b = 0 generator over (Y00, Y10, Y01, Y11), driven as in the
@@ -353,7 +361,7 @@ def unfiltered_g2(emitter, taus=None):
     taus = _check_taus(taus)
     sigma, L, rho, _ = emitter_state(emitter)
     number = sigma.conj().T @ sigma
-    pop = rho[1, 1].real
+    pop = _require_emission(rho[1, 1].real, "the excited population")
     raw = _regress(L, sigma @ rho @ sigma.conj().T, number, taus)
     values = _real_part(raw / pop**2, "unfiltered g2")
     return CorrelationTrace(
@@ -463,7 +471,7 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
     evaluates the normalized sensor coincidence on the tau grid, in the
     exact vanishing-coupling limit.
     """
-    if filter_width <= 0.0:
+    if not filter_width > 0.0:
         raise ValueError(f"filter width must be > 0, got {filter_width}")
     if filter_width < NARROW_WIDTH_WARN * emitter.gamma:
         warnings.warn(
@@ -498,21 +506,18 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
 
 
 def _g2_zero_convolved(pipeline, irf):
-    """IRF-smeared g2(0) of one pipeline.
+    """IRF-smeared g2(0) of one pipeline: one sum of the detector kernel
+    centred on tau = 0 over the even extension of g2, sampled at the delay
+    spacing that a full trace at this point would use."""
+    from .instrument import _kernel  # deferred: instrument imports CorrelationTrace
 
-    The tau grid is the one a full trace at this point would need; the
-    detector kernel centred on tau = 0 reads only the first half + 1 of its
-    points, so only those are propagated.
-    """
-    from . import instrument  # deferred: instrument imports CorrelationTrace
-
-    span = default_tau_grid(pipeline.emitter, (pipeline.filter_width,))[-1]
-    span = max(span, 8.0 * irf.fwhm)
+    span = max(_default_span(pipeline.emitter, (pipeline.filter_width,)), 8.0 * irf.fwhm)
     n = max(DEFAULT_TAU_POINTS, int(np.ceil(span / (irf.fwhm / 10.0))) + 1)
-    taus = np.linspace(0.0, span, n)
-    head = taus[: instrument.kernel_half_width(irf.fwhm, taus[1]) + 1]
-    trace = CorrelationTrace(taus=head, values=pipeline.g2_values(head))
-    return float(instrument.irf_convolve(trace, irf).values[0])
+    dt = span / (n - 1)
+    kernel = _kernel(irf.fwhm, dt)
+    half = kernel.size // 2
+    g2 = pipeline.g2_values(np.arange(half + 1) * dt)
+    return float(kernel @ np.concatenate([g2[:0:-1], g2]))
 
 
 def sweep_g2_zero(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .dynamics import emitter_state
+from .dynamics import _require_emission, emitter_state
 from .system import EmitterParams
 
 __all__ = [
@@ -90,7 +90,7 @@ def _classify(center, splitting):
 def _pole_components(emitter):
     """Elastic weight, total emission, and incoherent pole data (residue, eigenvalue)."""
     sigma, L, rho, _ = emitter_state(emitter)
-    total = float(rho[1, 1].real)
+    total = _require_emission(float(rho[1, 1].real), "the excited population")
     elastic = float(abs(rho[1, 0]) ** 2)
 
     evals, evecs = np.linalg.eig(L)

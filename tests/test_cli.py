@@ -1,7 +1,10 @@
+import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +108,22 @@ class TestG2Sweep:
         assert rows[0][header.index("error")] == ""
         assert rows[1][header.index("error")] == "RuntimeError: sabotaged point"
         assert rows[1][header.index("g2_ideal")] == ""
+
+    def test_error_cell_is_quoted(self, tmp_path, monkeypatch):
+        # A message with a comma, a quote or a line break stays one cell.
+        import filtered_rf.cli as cli
+
+        message = 'need max(1, |g2|), got "2"\nsee above'
+
+        def broken(*args):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(cli, "sweep_point", broken)
+        code, text = run(tmp_path, "g2-sweep", "--axis", "filter-width", "--values", "1.0,2.0")
+        assert code == 2
+        header, *rows = csv.reader(l for l in text.splitlines(keepends=True) if not l.startswith("#"))
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert [row[header.index("error")] for row in rows] == [f"RuntimeError: {message}"] * 2
 
     def test_preset_equals_explicit_width(self, tmp_path):
         code, a = run(tmp_path, "g2-sweep", "--axis", "rabi", "--values", "2.0", "--preset", "etalon", name="a.csv")
@@ -261,9 +280,52 @@ class TestConfigHandling:
         )
         assert code == 0
 
+    def test_zero_drive_is_a_configuration_error(self, tmp_path, capsys):
+        assert main(["g2-trace", "--filter-width", "0.29", "--rabi", "0", "-o", str(tmp_path / "t.csv")]) == 1
+        assert main(["spectrum", "--rabi", "0", "-o", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.count("no emission without drive") == 2
+        code, text = run(tmp_path, "fractions", "--values", "0.5,1", "--rabi", "0")
+        assert code == 2
+        header, rows = data_rows(text)
+        assert all(r[header.index("error")].startswith("ValueError: no emission without drive") for r in rows)
+
     def test_unknown_subcommand_exits_one(self):
         assert main(["not-a-command"]) == 1
         assert main([]) == 1
+
+
+def readme_commands():
+    """Arguments of each `filtered-rf` line in the README's command-line
+    block, without `selftest` (test_acceptance covers it) and its `-o` path."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```bash\n", 1)[1]
+    commands = []
+    for line in block.split("```", 1)[0].splitlines():
+        argv = shlex.split(line)
+        if argv[:1] == ["filtered-rf"] and argv[1:] != ["selftest"]:
+            if "-o" in argv:
+                del argv[argv.index("-o") : argv.index("-o") + 2]
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_command_block_is_found():
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_writes_matching_csv_and_json(tmp_path, argv):
+    assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 0
+    assert main([*argv, "--format", "json", "-o", str(tmp_path / "out.json")]) == 0
+    text = (tmp_path / "out.csv").read_text(encoding="utf-8")
+    header, *rows = csv.reader(l for l in text.splitlines(keepends=True) if not l.startswith("#"))
+    payload = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert payload["columns"] == header
+    parsed = [
+        [None if cell == "" else cell if name == "error" else float(cell) for name, cell in zip(header, row)]
+        for row in rows
+    ]
+    assert payload["rows"] == parsed
 
 
 @pytest.mark.slow

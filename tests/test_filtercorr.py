@@ -20,7 +20,7 @@ from filtered_rf.filtercorr import (
     sweep_point,
     unfiltered_g2,
 )
-from filtered_rf.instrument import GaussianIRF, irf_convolve
+from filtered_rf.instrument import GaussianIRF, irf_convolve, kernel_half_width
 from filtered_rf.system import HBAR_UEV_PS, EmitterParams, SystemModel, build_liouvillian
 
 from oracles import background_only_population, bloch_g2, unfiltered_g2_closed_form
@@ -102,6 +102,39 @@ class TestFilteredG2:
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             filtered_g2(WEAK, 0.0)
+
+    def test_rejects_nan_width_before_building_a_grid(self):
+        with pytest.raises(ValueError, match="filter width must be > 0, got nan"):
+            filtered_g2(WEAK, np.nan)
+
+    @pytest.mark.parametrize(
+        "width, center",
+        [(-0.29, 0.0), (0.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (0.29, np.nan), (0.29, -np.inf)],
+    )
+    def test_pipeline_rejects_bad_filter(self, width, center):
+        # Unchecked, a negative width computes a plausible g2(0) and NaN gives NaN.
+        with pytest.raises(ValueError, match="filter (width|center) must be finite"):
+            SensorPipeline(WEAK, width, center)
+        with pytest.raises(ValueError, match="filter (width|center) must be finite"):
+            sweep_g2_zero(WEAK, "rabi", [0.5], filter_width=width, filter_center=center)
+
+    def test_zero_drive_is_an_error(self):
+        # Without drive there is no emission to normalize by.
+        dark = EmitterParams(gamma=1.0, rabi=0.0)
+        taus = np.linspace(0.0, 10.0, 11)
+        for call in (
+            lambda: unfiltered_g2(dark, taus),
+            lambda: filtered_g2(dark, 0.29, taus=taus),
+            lambda: SensorPipeline(dark, 0.29).g2_zero(),
+            lambda: SensorPipeline(dark, 0.29).g2_values(taus),
+            lambda: sweep_point(dark, "filter_width", 0.29, None, 0.0, 0.0, 0.0, None),
+        ):
+            with pytest.raises(ValueError, match="no emission without drive"):
+                call()
+        # The laser background alone is coherent light: g2 = 1 at every delay.
+        lit = SensorPipeline(dark, 0.29, background_b=0.5)
+        assert lit.g2_zero() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(lit.g2_values(taus) - 1.0)) < 1e-12
 
     def test_scaled_engine_matches_plain_regression(self):
         # at a moderate coupling the rescaled solve must agree with the
@@ -458,6 +491,24 @@ class TestSweep:
         for key, beta in (("g2_lo", 0.0), ("g2_hi", 0.2)):
             full = filtered_g2(em, width * gamma, beta=beta, taus=taus)
             assert row[key] == pytest.approx(irf_convolve(full, irf).values[0], abs=1e-12)
+
+    @pytest.mark.parametrize("rabi", [0.5, 2.0])
+    @pytest.mark.parametrize("width", [150.0, 23.0, 4.85, 0.85, 0.29, 0.0125])
+    def test_irf_kernel_sum_matches_convolving_the_head(self, width, rabi):
+        # Reference: the head of the full-trace grid, wrapped in a trace and
+        # smeared by irf_convolve, read at tau = 0.
+        gamma = 20.0 / HBAR_UEV_PS
+        em = EmitterParams(gamma=gamma, rabi=rabi * gamma)
+        irf = GaussianIRF(fwhm=37.5)
+        ideal = SensorPipeline(em, width * gamma)
+        span = max(default_tau_grid(em, (width * gamma,))[-1], 8.0 * irf.fwhm)
+        taus = np.linspace(0.0, span, max(2001, int(np.ceil(span / (irf.fwhm / 10.0))) + 1))
+        head = taus[: kernel_half_width(irf.fwhm, taus[1]) + 1]
+        for beta in (0.0, 0.2):
+            pipeline = calibrate_background(ideal, beta)
+            trace = filtercorr.CorrelationTrace(taus=head, values=pipeline.g2_values(head))
+            expected = irf_convolve(trace, irf).values[0]
+            assert filtercorr._g2_zero_convolved(pipeline, irf) == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -196,6 +196,15 @@ class TestLorentzianTransmission:
 
 
 class TestFilteredFractions:
+    def test_zero_drive_is_an_error(self):
+        # No emission to normalize by; the elastic share itself stays exactly 1.
+        dark = EmitterParams(gamma=1.0, rabi=0.0, laser_linewidth=5e-4)
+        with pytest.raises(ValueError, match="no emission without drive"):
+            filtered_fractions(dark, 0.29)
+        with pytest.raises(ValueError, match="no emission without drive"):
+            emission_spectrum(dark, np.linspace(-10.0, 10.0, 101))
+        assert coherent_fraction(dark) == 1.0
+
     def test_fractions_sum_to_one(self):
         em = EmitterParams(gamma=1.0, rabi=2.0, laser_linewidth=5e-4)
         for width in (0.05, 0.29, 5.0, 500.0):
