@@ -18,6 +18,7 @@ import copy
 import dataclasses
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,20 +27,45 @@ from .instrument import GaussianIRF, filter_preset, irf_convolve, spectral_irf_c
 from .spectrum import emission_spectrum, filtered_fractions, lorentzian_transmission
 from .system import HBAR_UEV_PS, EmitterParams
 
-DEFAULTS = {
-    "emitter": {
-        "gamma_ueV": 20.0,
-        "rabi_over_gamma": 0.5,
-        "detuning_over_gamma": 0.0,
-        "laser_linewidth_neV": 10.0,
-    },
-    "filter": {"width_over_gamma": None, "preset": None, "center_over_gamma": 0.0},
-    "background": {"beta_lo": 0.0, "beta_hi": 0.0},
-    "irf": {"fwhm_ps": 37.5, "enabled": False, "spectral_fwhm_ueV": None},
-    "grid": {"tau_max_ps": None, "n_tau": 2001, "omega_max_ueV": None, "n_omega": 4001},
-    "sweep": {"axis": None, "values": []},
-    "output": {"path": "-", "format": "csv"},
-}
+
+class Setting(NamedTuple):
+    """One config key: its default, its flags (space separated), the values
+    it accepts and its meaning.  ``kind`` is float, int, bool, str, a tuple
+    of choices, or None for a value that its command parses (``sweep.values``).
+    A number must be at least ``minimum``, or greater than it when ``strict``."""
+
+    section: str
+    key: str
+    default: object
+    flags: str
+    kind: object
+    help: str
+    minimum: float | None = None
+    strict: bool = False
+
+
+SETTINGS = [
+    Setting("emitter", "gamma_ueV", 20.0, "--gamma-uev", float, "emission rate in ueV", 0, True),
+    Setting("emitter", "rabi_over_gamma", 0.5, "--rabi", float, "drive strength over gamma", 0),
+    Setting("emitter", "detuning_over_gamma", 0.0, "--detuning", float, "detuning over gamma"),
+    Setting("emitter", "laser_linewidth_neV", 10.0, "--laser-linewidth-nev", float, "laser FWHM in neV", 0),
+    Setting("filter", "width_over_gamma", None, "--filter-width", float, "filter FWHM over gamma", 0, True),
+    Setting("filter", "preset", None, "--preset", str, "named filter, overrides the width"),
+    Setting("filter", "center_over_gamma", 0.0, "--filter-center", float, "filter center over gamma"),
+    Setting("background", "beta_lo", 0.0, "--beta-lo", float, "lower laser background fraction", 0),
+    Setting("background", "beta_hi", 0.0, "--beta-hi", float, "upper laser background fraction", 0),
+    Setting("irf", "fwhm_ps", 37.5, "--irf-fwhm-ps", float, "detector response FWHM in ps", 0, True),
+    Setting("irf", "enabled", False, "--irf", bool, "apply the detector response"),
+    Setting("irf", "spectral_fwhm_ueV", None, "--spectral-irf-uev", float, "spectral FWHM in ueV", 0, True),
+    Setting("grid", "tau_max_ps", None, "--tau-max-ps", float, "largest delay in ps", 0, True),
+    Setting("grid", "n_tau", 2001, "--n-tau", int, "number of delays", 3),
+    Setting("grid", "omega_max_ueV", None, "--omega-max-uev", float, "largest frequency in ueV", 0, True),
+    Setting("grid", "n_omega", 4001, "--n-omega", int, "number of frequencies", 3),
+    Setting("sweep", "axis", None, "--axis", ("filter-width", "rabi"), "swept parameter"),
+    Setting("sweep", "values", [], "--values", None, "sweep points over gamma, comma separated"),
+    Setting("output", "path", "-", "-o --output", str, "output path, '-' for stdout"),
+    Setting("output", "format", "csv", "--format", ("csv", "json"), "artifact format"),
+]
 
 
 class ConfigError(Exception):
@@ -91,80 +117,65 @@ def _merge(base, override, context=""):
     return merged
 
 
-def _require_number(config, section, key, minimum=None, strict=False):
-    """Validate config[section][key] as a finite number, store it back as a
-    float (so a numeric string from a config file computes and embeds as a
-    number), and return it."""
-    value = config[section][key]
+def _check(setting, value):
+    """A given value checked against its row and returned in the form the
+    commands use: a number (a numeric string counts) as float or int."""
+    where = f"{setting.section}.{setting.key}"
+    kind = setting.kind
     if value is None:
-        raise ConfigError(f"{section}.{key} is required")
+        if setting.default is None:
+            return None
+        raise ConfigError(f"{where} is required")
+    if kind is None:
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{where} must be {' or '.join(kind)}, got {value!r}")
+        return value
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            wanted = "true or false" if kind is bool else "text"
+            raise ConfigError(f"{where} must be {wanted}, got {value!r}")
+        return value
     try:
-        value = float(value)
+        if isinstance(value, bool):  # JSON true is not the number 1
+            raise TypeError
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from None
-    if not np.isfinite(value):
-        raise ConfigError(f"{section}.{key} must be finite")
-    if minimum is not None and (value < minimum or (strict and value == minimum)):
-        bound = "greater than" if strict else "at least"
-        raise ConfigError(f"{section}.{key} must be {bound} {minimum}, got {value}")
-    config[section][key] = value
-    return value
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        number = int(number)
+    low = setting.minimum
+    if low is not None and (number < low or (setting.strict and number == low)):
+        bound = "greater than" if setting.strict else "at least"
+        raise ConfigError(f"{where} must be {bound} {low}, got {number}")
+    return number
 
 
 def resolve_config(args):
-    """Merge defaults, optional config file, and command-line flags."""
-    config = copy.deepcopy(DEFAULTS)
+    """Merge defaults, optional config file, and command-line flags, then
+    check every setting against its row, whichever subcommand runs."""
+    config = {}
+    for s in SETTINGS:
+        config.setdefault(s.section, {})[s.key] = copy.deepcopy(s.default)
     if getattr(args, "config", None):
         config = _merge(config, _load_config_file(args.config))
-
-    flag_map = {
-        "gamma_uev": ("emitter", "gamma_ueV"),
-        "rabi": ("emitter", "rabi_over_gamma"),
-        "detuning": ("emitter", "detuning_over_gamma"),
-        "laser_linewidth_nev": ("emitter", "laser_linewidth_neV"),
-        "filter_width": ("filter", "width_over_gamma"),
-        "preset": ("filter", "preset"),
-        "filter_center": ("filter", "center_over_gamma"),
-        "beta": ("background", "beta_lo"),
-        "beta_lo": ("background", "beta_lo"),
-        "beta_hi": ("background", "beta_hi"),
-        "irf_fwhm_ps": ("irf", "fwhm_ps"),
-        "spectral_irf_uev": ("irf", "spectral_fwhm_ueV"),
-        "tau_max_ps": ("grid", "tau_max_ps"),
-        "n_tau": ("grid", "n_tau"),
-        "omega_max_uev": ("grid", "omega_max_ueV"),
-        "n_omega": ("grid", "n_omega"),
-        "axis": ("sweep", "axis"),
-        "values": ("sweep", "values"),
-        "output": ("output", "path"),
-        "format": ("output", "format"),
-    }
-    for flag, (section, key) in flag_map.items():
-        value = getattr(args, flag, None)
+    for s in SETTINGS:
+        value = getattr(args, f"{s.section}.{s.key}", None)
         if value is not None:
-            config[section][key] = value
-    if getattr(args, "irf", None) is not None:
-        config["irf"]["enabled"] = args.irf
-    if getattr(args, "beta", None) is not None and getattr(args, "beta_hi", None) is None:
-        config["background"]["beta_hi"] = args.beta
+            config[s.section][s.key] = value
+    for s in SETTINGS:
+        config[s.section][s.key] = _check(s, config[s.section][s.key])
 
-    # validation of scalar fields used by every subcommand
-    _require_number(config, "emitter", "gamma_ueV", minimum=0.0, strict=True)
-    _require_number(config, "emitter", "rabi_over_gamma", minimum=0.0)
-    _require_number(config, "emitter", "detuning_over_gamma")
-    _require_number(config, "emitter", "laser_linewidth_neV", minimum=0.0)
-    _require_number(config, "filter", "center_over_gamma")
-    beta_lo = _require_number(config, "background", "beta_lo", minimum=0.0)
-    beta_hi = _require_number(config, "background", "beta_hi", minimum=0.0)
+    beta_lo, beta_hi = config["background"]["beta_lo"], config["background"]["beta_hi"]
     if beta_lo > 0.2 or beta_hi > 0.2:
         raise ConfigError("background.beta_lo/beta_hi must lie in [0, 0.2]")
     if beta_lo > beta_hi:
         raise ConfigError(f"background.beta_lo = {beta_lo} exceeds beta_hi = {beta_hi}")
-    _require_number(config, "irf", "fwhm_ps", minimum=0.0, strict=True)
-    config["grid"]["n_tau"] = int(_require_number(config, "grid", "n_tau", minimum=3))
-    config["grid"]["n_omega"] = int(_require_number(config, "grid", "n_omega", minimum=3))
-    if config["output"]["format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {config['output']['format']!r}")
     return config
 
 
@@ -194,26 +205,21 @@ def resolve_filter_width(config, emitter):
         return width
     if width_rel is None:
         raise ConfigError("either filter.width_over_gamma or filter.preset is required")
-    width_rel = _require_number(config, "filter", "width_over_gamma", minimum=0.0, strict=True)
     return width_rel * emitter.gamma
 
 
 def tau_grid(config, emitter, width):
-    tau_max = config["grid"]["tau_max_ps"]
-    if tau_max is None:
-        tau_max = max(20.0 / emitter.gamma, 20.0 / width)
-        config["grid"]["tau_max_ps"] = tau_max
-    tau_max = _require_number(config, "grid", "tau_max_ps", minimum=0.0, strict=True)
-    return np.linspace(0.0, tau_max, config["grid"]["n_tau"])
+    grid = config["grid"]
+    if grid["tau_max_ps"] is None:
+        grid["tau_max_ps"] = max(20.0 / emitter.gamma, 20.0 / width)
+    return np.linspace(0.0, grid["tau_max_ps"], grid["n_tau"])
 
 
 def omega_grid(config, emitter):
-    omega_max = config["grid"]["omega_max_ueV"]
-    if omega_max is None:
-        omega_max = (2.0 * emitter.rabi + 10.0 * emitter.gamma) * HBAR_UEV_PS
-        config["grid"]["omega_max_ueV"] = omega_max
-    omega_max = _require_number(config, "grid", "omega_max_ueV", minimum=0.0, strict=True)
-    return np.linspace(-omega_max, omega_max, config["grid"]["n_omega"]) / HBAR_UEV_PS
+    grid = config["grid"]
+    if grid["omega_max_ueV"] is None:
+        grid["omega_max_ueV"] = (2.0 * emitter.rabi + 10.0 * emitter.gamma) * HBAR_UEV_PS
+    return np.linspace(-grid["omega_max_ueV"], grid["omega_max_ueV"], grid["n_omega"]) / HBAR_UEV_PS
 
 
 def sweep_values(config):
@@ -374,7 +380,7 @@ def cmd_spectrum(config):
     table = {"omega_ueV": omegas * HBAR_UEV_PS, "s_per_ueV": decomposition.values / HBAR_UEV_PS}
     spectral_fwhm = config["irf"]["spectral_fwhm_ueV"]
     if spectral_fwhm is not None:
-        irf = GaussianIRF(float(spectral_fwhm) / HBAR_UEV_PS)
+        irf = GaussianIRF(spectral_fwhm / HBAR_UEV_PS)
         table["s_irf_per_ueV"] = spectral_irf_convolve(omegas, decomposition.values, irf) / HBAR_UEV_PS
     components = [
         {
@@ -425,54 +431,33 @@ def cmd_selftest(config):
 # --- entry point ---------------------------------------------------------------
 
 
+COMMANDS = {  # name: (function, help, takes the sweep flags)
+    "g2-trace": (cmd_g2_trace, "filtered g2(tau) at one parameter point", False),
+    "g2-sweep": (cmd_g2_sweep, "g2(0) along a filter-width or drive sweep", True),
+    "spectrum": (cmd_spectrum, "emission spectrum and its decomposition", False),
+    "transmission": (cmd_transmission, "elastic/inelastic filter transmission vs width", True),
+    "fractions": (cmd_fractions, "filtered component fractions", True),
+    "selftest": (cmd_selftest, "run the acceptance suite", False),
+}
+
+
+def _flag_options(kind):
+    if kind is bool:
+        return {"action": "store_true", "default": None}
+    return {"choices": kind} if isinstance(kind, tuple) else {"type": kind or str}
+
+
 def build_parser():
     parser = _Parser(prog="filtered-rf", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand")
-
-    def add(name, help_text, needs_sweep=False):
+    for name, (_, help_text, takes_sweep) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file, or a previous output file")
-        p.add_argument("--gamma-uev", dest="gamma_uev", type=float, help="emission rate in ueV")
-        p.add_argument("--rabi", type=float, help="drive strength over gamma")
-        p.add_argument("--detuning", type=float, help="emitter-laser detuning over gamma")
-        p.add_argument("--laser-linewidth-nev", dest="laser_linewidth_nev", type=float)
-        p.add_argument("--filter-width", dest="filter_width", type=float, help="filter FWHM over gamma")
-        p.add_argument("--preset", help="named filter preset (see README)")
-        p.add_argument("--filter-center", dest="filter_center", type=float, help="filter center over gamma")
-        p.add_argument("--beta", type=float, help="laser background fraction")
-        p.add_argument("--beta-lo", dest="beta_lo", type=float)
-        p.add_argument("--beta-hi", dest="beta_hi", type=float)
-        p.add_argument("--irf", dest="irf", action="store_true", default=None, help="apply the detector response")
-        p.add_argument("--irf-fwhm-ps", dest="irf_fwhm_ps", type=float)
-        p.add_argument("--spectral-irf-uev", dest="spectral_irf_uev", type=float)
-        p.add_argument("--tau-max-ps", dest="tau_max_ps", type=float)
-        p.add_argument("--n-tau", dest="n_tau", type=int)
-        p.add_argument("--omega-max-uev", dest="omega_max_uev", type=float)
-        p.add_argument("--n-omega", dest="n_omega", type=int)
-        if needs_sweep:
-            p.add_argument("--axis", choices=["filter-width", "rabi"])
-            p.add_argument("--values", help="sweep points (over gamma), comma or space separated")
-        p.add_argument("-o", "--output", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=["csv", "json"])
-        return p
-
-    add("g2-trace", "filtered g2(tau) at one parameter point")
-    add("g2-sweep", "g2(0) along a filter-width or drive sweep", needs_sweep=True)
-    add("spectrum", "emission spectrum and its decomposition")
-    add("transmission", "elastic/inelastic filter transmission vs width", needs_sweep=True)
-    add("fractions", "filtered component fractions", needs_sweep=True)
-    add("selftest", "run the acceptance suite")
+        for s in SETTINGS:
+            if takes_sweep or s.section != "sweep":
+                options = _flag_options(s.kind)
+                p.add_argument(*s.flags.split(), dest=f"{s.section}.{s.key}", help=s.help, **options)
     return parser
-
-
-COMMANDS = {
-    "g2-trace": cmd_g2_trace,
-    "g2-sweep": cmd_g2_sweep,
-    "spectrum": cmd_spectrum,
-    "transmission": cmd_transmission,
-    "fractions": cmd_fractions,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None):
@@ -481,7 +466,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise ConfigError("a subcommand is required (see --help)")
-        command = COMMANDS[args.subcommand]
+        command = COMMANDS[args.subcommand][0]
         config = resolve_config(args)
         return command(config)
     except ConfigError as exc:

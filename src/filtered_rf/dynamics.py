@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmath
-from .system import SystemModel, build_liouvillian
 
 __all__ = [
     "EmitterState",
@@ -83,6 +82,24 @@ class EmitterState(NamedTuple):
     coherent_fraction: float  # |<sigma>|^2 / rho_ee, the elastic share of the emission
 
 
+def _emitter_liouvillian(emitter):
+    """L_e on column-stacked (gg, eg, ge, ee), with w = i rabi/2:
+
+        [[0, -w,  w,  gamma],
+         [-w, -(i detuning + gamma/2), 0, w],
+         [w, 0, i detuning - gamma/2, -w],
+         [0,  w, -w, -gamma]]
+
+    bit for bit the matrix that ``build_liouvillian`` assembles, every zero
+    a +0."""
+    g, d = emitter.gamma, emitter.detuning
+    w = complex(0.0, 0.5 * emitter.rabi)
+    v = complex(0.0, 0.0 - 0.5 * emitter.rabi)  # -w
+    eg = complex(-0.5 * g, 0.0 - d)
+    ge = complex(-0.5 * g, d + 0.0)
+    return np.array([[0, v, w, g], [v, eg, 0, w], [w, 0, ge, v], [0, w, v, -g]], dtype=complex)
+
+
 def emitter_state(emitter):
     """Liouvillian and closed-form steady state of the driven two-level emitter.
 
@@ -95,8 +112,7 @@ def emitter_state(emitter):
     that drifted from the Hamiltonian convention of ``build_liouvillian``
     raises :class:`qmath.SteadyStateError`.
     """
-    model = SystemModel(emitter)
-    L = build_liouvillian(model)
+    L = _emitter_liouvillian(emitter)
     undriven = emitter.detuning**2 + emitter.gamma**2 / 4.0
     D = undriven + emitter.rabi**2 / 2.0
     excited = emitter.rabi**2 / 4.0 / D
@@ -104,7 +120,8 @@ def emitter_state(emitter):
     rho = np.array([[1.0 - excited, coherence.conjugate()], [coherence, excited]])
     qmath._check_residual(L, qmath.vec(rho), np.linalg.norm(L))
     fraction = 1.0 / (1.0 + emitter.rabi**2 / 2.0 / undriven)
-    return EmitterState(sigma=model.sigma, liouvillian=L, rho=rho, coherent_fraction=fraction)
+    sigma = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return EmitterState(sigma=sigma, liouvillian=L, rho=rho, coherent_fraction=fraction)
 
 
 def _require_emission(population, what):

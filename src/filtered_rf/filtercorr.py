@@ -406,15 +406,9 @@ def calibrate_background(pipeline, beta):
     if beta == 0.0:
         return pipeline
 
-    # Populations in the pipeline's scaled units.
-    A = pipeline.scaled_populations[0]
-    if not A > 0.0:
-        # A = 0 forces B = 0 (the cross term needs an emitter field), so the
-        # quadratic has no positive root.
-        raise BackgroundCalibrationError(
-            f"background fraction {beta} is unreachable: the emitter adds no sensor "
-            f"population (A = {A:.3e}), so the background alone gives ratio 1"
-        )
+    # Populations in the pipeline's scaled units.  Without drive A = 0 and
+    # B = 0, so any background alone gives ratio 1 and no root reaches beta.
+    A = _require_emission(pipeline.scaled_populations[0], "the sensor population")
     B = 2.0 * pipeline.emitter_coherence.real
     a = 1.0 - beta
     root = math.sqrt((beta * B) ** 2 + 4.0 * a * beta * A)
@@ -564,8 +558,10 @@ def sweep_point(emitter, axis, x, filter_width, filter_center, beta_lo, beta_hi,
     """
     if axis == "filter_width":
         em, width = emitter, x
-    else:
+    elif axis == "rabi":
         em, width = replace(emitter, rabi=x), filter_width
+    else:
+        raise ValueError(f"axis must be 'filter_width' or 'rabi', got {axis!r}")
 
     ideal = SensorPipeline(em, width, filter_center)
     row = {"x": x, "g2_ideal": ideal.g2_zero()}

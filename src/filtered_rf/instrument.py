@@ -50,7 +50,6 @@ class GaussianIRF:
 class FilterPreset:
     name: str
     fwhm_ueV: float
-    shape: str = "lorentzian"
 
 
 # Bandwidths of the spectral filters on the experiment, plus short aliases.

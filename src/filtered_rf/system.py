@@ -124,9 +124,6 @@ class SystemModel:
     def dim(self):
         return 2 ** (1 + len(self.sensors))
 
-    def identity(self):
-        return np.eye(self.dim, dtype=complex)
-
     def sensor_excitations(self):
         """Total sensor excitation count of each basis state, in kron order."""
         counts = np.zeros(self.dim, dtype=int)

@@ -10,7 +10,32 @@ import numpy as np
 import pytest
 
 import filtered_rf
-from filtered_rf.cli import main
+from filtered_rf.cli import SETTINGS, main
+
+FLAG = {f"{s.section}.{s.key}": s.flags.split()[-1] for s in SETTINGS}
+NUMERIC_SETTINGS = [s for s in SETTINGS if s.kind in (float, int)]
+# A valid value of every numeric setting, as text.
+NUMERIC_STRINGS = {
+    "emitter.gamma_ueV": "15",
+    "emitter.rabi_over_gamma": "2",
+    "emitter.detuning_over_gamma": "0.5",
+    "emitter.laser_linewidth_neV": "5",
+    "filter.width_over_gamma": "0.85",
+    "filter.center_over_gamma": "-0.5",
+    "background.beta_lo": "0.05",
+    "background.beta_hi": "0.15",
+    "irf.fwhm_ps": "30",
+    "irf.spectral_fwhm_ueV": "1.5",
+    "grid.tau_max_ps": "50",
+    "grid.n_tau": "11",
+    "grid.omega_max_ueV": "250",
+    "grid.n_omega": "11",
+}
+BASE_FLAGS = {  # what each command needs besides the setting under test
+    "g2-trace": {"filter.width_over_gamma": "0.29", "grid.n_tau": "21", "background.beta_hi": "0.2"},
+    "spectrum": {"background.beta_hi": "0.2"},
+    "transmission": {"background.beta_hi": "0.2", "sweep.values": "0.5,2"},
+}
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -239,7 +264,7 @@ class TestConfigHandling:
         assert main(["g2-trace", "--gamma-uev", "-3", "--filter-width", "1.0", "-o", "-"]) == 1
         assert main(["g2-trace", "-o", "-"]) == 1  # missing filter width
         assert main(["g2-sweep", "--axis", "rabi", "--values", "", "--filter-width", "1.0", "-o", "-"]) == 1
-        assert main(["g2-trace", "--filter-width", "1.0", "--beta", "0.5", "-o", "-"]) == 1
+        assert main(["g2-trace", "--filter-width", "1.0", "--beta-hi", "0.5", "-o", "-"]) == 1
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -248,30 +273,47 @@ class TestConfigHandling:
             ("emitter", "detuning_over_gamma", None),
             ("filter", "center_over_gamma", None),
             ("filter", "center_over_gamma", "nan"),
+            ("irf", "enabled", "false"),
+            ("filter", "preset", 5),
+            ("grid", "n_tau", 3.7),
+            ("irf", "spectral_fwhm_ueV", "abc"),
+            ("emitter", "rabi_over_gamma", True),
+            ("sweep", "axis", "bogus"),
         ],
     )
-    def test_invalid_offsets_exit_one(self, tmp_path, section, key, value):
+    def test_invalid_settings_exit_one_naming_the_key(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({section: {key: value}}))
         assert main(["g2-trace", "--config", str(cfg), "--filter-width", "1.0", "-o", "-"]) == 1
+        assert f"error: {section}.{key} " in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "section, key, value, flags",
-        [
-            ("emitter", "gamma_ueV", "20", ["--gamma-uev", "20"]),
-            ("emitter", "detuning_over_gamma", "0.5", ["--detuning", "0.5"]),
-        ],
-    )
-    @pytest.mark.parametrize("subcommand", ["g2-trace", "transmission"])
-    def test_numeric_strings_compute_as_numbers(self, tmp_path, section, key, value, flags, subcommand):
+    @pytest.mark.parametrize("setting", NUMERIC_SETTINGS, ids=lambda s: f"{s.section}.{s.key}")
+    @pytest.mark.parametrize("subcommand", ["g2-trace", "spectrum", "transmission"])
+    def test_numeric_strings_compute_as_numbers(self, tmp_path, setting, subcommand):
+        # Every numeric setting given as a string in a config file computes
+        # and embeds exactly as the same value given by its flag.
+        where = f"{setting.section}.{setting.key}"
+        value = NUMERIC_STRINGS[where]
+        base = [arg for name, v in BASE_FLAGS[subcommand].items() if name != where for arg in (FLAG[name], v)]
         cfg = tmp_path / "strings.json"
-        cfg.write_text(json.dumps({section: {key: value}}))
-        width = ["--filter-width", "0.29", "--n-tau", "101"] if subcommand == "g2-trace" else []
-        code, text = run(tmp_path, subcommand, "--config", str(cfg), *width)
+        cfg.write_text(json.dumps({setting.section: {setting.key: value}}))
+        code, text = run(tmp_path, subcommand, "--config", str(cfg), *base)
         assert code == 0
-        code, expected = run(tmp_path, subcommand, *flags, *width, name="flags.csv")
+        code, expected = run(tmp_path, subcommand, FLAG[where], value, *base, name="flags.csv")
         assert code == 0
         assert text == expected
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["spectrum", "--tau-max-ps", "-5"], "grid.tau_max_ps"),
+            (["g2-trace", "--preset", "etalon", "--filter-width", "-1"], "filter.width_over_gamma"),
+            (["transmission", "--n-omega", "2"], "grid.n_omega"),
+        ],
+    )
+    def test_settings_the_command_ignores_are_checked(self, capsys, argv, key):
+        assert main([*argv, "-o", "-"]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
 
     def test_negative_offsets_allowed(self, tmp_path):
         code, _ = run(
@@ -283,7 +325,10 @@ class TestConfigHandling:
     def test_zero_drive_is_a_configuration_error(self, tmp_path, capsys):
         assert main(["g2-trace", "--filter-width", "0.29", "--rabi", "0", "-o", str(tmp_path / "t.csv")]) == 1
         assert main(["spectrum", "--rabi", "0", "-o", str(tmp_path / "s.csv")]) == 1
-        assert capsys.readouterr().err.count("no emission without drive") == 2
+        # A background bound without drive has no emission to calibrate against.
+        band = ["--beta-lo", "0.1", "--beta-hi", "0.1", "-o", str(tmp_path / "b.csv")]
+        assert main(["g2-trace", "--filter-width", "0.29", "--rabi", "0", *band]) == 1
+        assert capsys.readouterr().err.count("no emission without drive") == 3
         code, text = run(tmp_path, "fractions", "--values", "0.5,1", "--rabi", "0")
         assert code == 2
         header, rows = data_rows(text)
@@ -381,3 +426,27 @@ for width in (0.29, 0.85, 4.85):
 filtered_g2(EmitterParams(gamma=1.0, rabi=2.0), 0.01, filter_center=2.0)
 """
     assert loaded_modules(code, ("scipy",)) == "[]"
+
+
+def settings_row(s):
+    """One SETTINGS row as the README's settings table writes it."""
+    bound = "" if s.minimum is None else f" {'>' if s.strict else '>='} {s.minimum}"
+    if isinstance(s.kind, tuple):
+        accepts = " or ".join(f"`{choice}`" for choice in s.kind)
+    else:
+        names = {float: "number", int: "integer", bool: "true or false", str: "text"}
+        accepts = names.get(s.kind, "parsed by the subcommand") + bound
+    default = "unset" if s.default is None else f"`{json.dumps(s.default)}`"
+    flags = ", ".join(f"`{flag}`" for flag in s.flags.split())
+    return [f"`{s.section}.{s.key}`", flags, default, accepts, s.help]
+
+
+def test_readme_lists_every_setting():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| config key | flags | default | accepts | meaning |\n", 1)[1]
+    rows = []
+    for line in table.splitlines()[1:]:  # below the separator row
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split(" | ")])
+    assert rows == [settings_row(s) for s in SETTINGS]

@@ -76,19 +76,31 @@ class TestEmitterState:
         solved = qmath.unvec(qmath.steady_vector(state.liouvillian))
         assert np.max(np.abs(state.rho - solved)) < 1e-13
 
-    def test_blocks_match_system_model(self):
-        em = EmitterParams(gamma=1.3, rabi=0.7, detuning=-0.4)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(0.01, 100.0),
+        rabi=st.floats(1e-3, 1e3),
+        detuning=st.floats(-5.0, 5.0),
+    )
+    @example(gamma=1.3, rabi=0.7, detuning=-0.4)
+    @example(gamma=1.0, rabi=0.0, detuning=0.0)
+    @example(gamma=1.0, rabi=0.5, detuning=-0.0)
+    @example(gamma=0.8, rabi=0.0, detuning=-2.0)
+    def test_blocks_match_system_model(self, gamma, rabi, detuning):
+        # The written-out L_e is the assembled one bit for bit, signed zeros
+        # included, so no downstream result can move by a rounding.
+        em = EmitterParams(gamma=gamma, rabi=rabi, detuning=detuning)
         state = emitter_state(em)
         model = SystemModel(em)
-        assert np.array_equal(state.sigma, model.sigma)
-        assert np.array_equal(state.liouvillian, build_liouvillian(model))
+        assert np.array_equal(state.sigma.view(np.uint64), model.sigma.view(np.uint64))
+        assert np.array_equal(state.liouvillian.view(np.uint64), build_liouvillian(model).view(np.uint64))
 
     def test_residual_check_catches_a_wrong_convention(self, monkeypatch):
         # A Liouvillian with the detuning's sign flipped no longer fits the
         # closed form, as a sign-convention drift would; the residual says so.
         em = EmitterParams(gamma=1.0, rabi=0.5, detuning=0.5)
         flipped = build_liouvillian(SystemModel(EmitterParams(gamma=1.0, rabi=0.5, detuning=-0.5)))
-        monkeypatch.setattr(dynamics, "build_liouvillian", lambda model: flipped)
+        monkeypatch.setattr(dynamics, "_emitter_liouvillian", lambda emitter: flipped)
         with pytest.raises(qmath.SteadyStateError, match="residual"):
             emitter_state(em)
 
@@ -132,7 +144,7 @@ def test_result_paths_run_no_numerical_steady_solve(monkeypatch):
 class TestTwoTimeCorrelator:
     def test_zero_delay_is_steady_expectation(self):
         model, L = emitter_liouvillian(rabi=0.8)
-        ident = model.identity()
+        ident = np.eye(2, dtype=complex)
         number = model.sigma.conj().T @ model.sigma
         got = two_time_correlator(L, ident, ident, number, [0.0])[0]
         assert abs(got - bloch_steady_excited(1.0, 0.8)) < 1e-12

@@ -354,6 +354,14 @@ class TestBackgroundCalibration:
         assert abs(cal.background_b**2 / cal.scaled_populations[0] - 0.2) < 1e-6
         assert cal.background_b > 0.0
 
+    def test_forward_check_catches_a_wrong_displacement(self, monkeypatch):
+        # A displacement that drifted from the solved root (here, twice it)
+        # no longer gives back beta; the forward check says so.
+        displaced = SensorPipeline._displaced
+        monkeypatch.setattr(SensorPipeline, "_displaced", lambda self, b: displaced(self, 2.0 * b))
+        with pytest.raises(BackgroundCalibrationError, match="forward check"):
+            calibrate_background(SensorPipeline(STRONG, 0.29), 0.2)
+
     def test_monotone_in_amplitude(self):
         eta = default_eta(STRONG, 0.29)
         ratios = []
@@ -399,9 +407,11 @@ class TestBackgroundCalibration:
 
     def test_unreachable_beta_raises(self):
         # rabi = 0: all sensor population is background, so the ratio jumps
-        # from 0 to ~1 and no amplitude can produce beta = 0.1.
+        # from 0 to ~1 and no amplitude can produce beta = 0.1.  Without
+        # drive there is nothing to calibrate against: the same error as
+        # every other result that emission normalizes.
         dark = EmitterParams(gamma=1.0, rabi=0.0)
-        with pytest.raises(BackgroundCalibrationError):
+        with pytest.raises(ValueError, match="no emission without drive"):
             calibrate_background(SensorPipeline(dark, 5.0), 0.1)
 
     def test_pure_background_is_poissonian(self):
@@ -509,6 +519,10 @@ class TestSweep:
             trace = filtercorr.CorrelationTrace(taus=head, values=pipeline.g2_values(head))
             expected = irf_convolve(trace, irf).values[0]
             assert filtercorr._g2_zero_convolved(pipeline, irf) == pytest.approx(expected, abs=1e-14)
+
+    def test_sweep_point_rejects_unknown_axis(self):
+        with pytest.raises(ValueError, match="'filter_width' or 'rabi'"):
+            sweep_point(WEAK, "bogus", 2.0, 0.29, 0.0, 0.0, 0.0, None)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -146,7 +146,6 @@ class TestPresets:
             "4f tunable filter (broad)": 3050.0,
         }
         assert {p.name: p.fwhm_ueV for p in FILTER_PRESETS} == table
-        assert all(p.shape == "lorentzian" for p in FILTER_PRESETS)
 
     def test_case_insensitive_lookup(self):
         assert filter_preset("ETALON - 1.6MM FUSED SILICA").fwhm_ueV == 5.8

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtered_rf.dynamics import first_order_coherence, steady_state
+from filtered_rf.filtercorr import SensorPipeline
 from filtered_rf.spectrum import (
+    _pole_components,
     coherent_fraction,
     emission_spectrum,
     filtered_fractions,
@@ -260,3 +264,31 @@ class TestFilteredFractions:
             fr = filtered_fractions(em, width)
             sidebands.append(fr["mollow_red"] + fr["mollow_blue"])
         assert np.all(np.diff(sidebands) > 0.0)
+
+
+class TestFirstOrderPaths:
+    """The sensor hierarchy and the spectrum's pole decomposition are two
+    independent routes to the filtered first-order intensity."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rabi=st.floats(-2.0, 1.5).map(lambda e: 10.0**e).filter(lambda r: abs(r - 0.25) >= 0.01),
+        detuning=st.floats(-2.0, 2.0),
+        width=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        center=st.floats(-3.0, 3.0),
+    )
+    def test_sensor_population_matches_pole_sum(self, rabi, detuning, width, center):
+        # With a monochromatic laser a Lorentzian filter of half width g at
+        # the center passes elastic * g^2/(center^2 + g^2) of the coherent
+        # line and g Re(res/(conj(k) - lambda)) of each incoherent pole,
+        # k = g + i center.  The pipeline's population is in units of
+        # (eta/|k|)^2.  Rabi stays off the Mollow threshold gamma/4, where
+        # the per-pole residues diverge while their sum stays finite.
+        em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
+        g = 0.5 * width
+        k = complex(g, center)
+        population = SensorPipeline(em, width, center).scaled_populations[0] / abs(k) ** 2
+        elastic, _, poles = _pole_components(em)
+        passed = elastic * g**2 / (center**2 + g**2)
+        passed += sum(g * (res / (k.conjugate() - lam)).real for res, lam in poles)
+        assert population == pytest.approx(passed / g**2, rel=1e-10)
