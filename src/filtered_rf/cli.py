@@ -17,6 +17,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import sys
 from typing import NamedTuple
 
@@ -50,7 +51,7 @@ SETTINGS = [
     Setting("emitter", "detuning_over_gamma", 0.0, "--detuning", float, "detuning over gamma"),
     Setting("emitter", "laser_linewidth_neV", 10.0, "--laser-linewidth-nev", float, "laser FWHM in neV", 0),
     Setting("filter", "width_over_gamma", None, "--filter-width", float, "filter FWHM over gamma", 0, True),
-    Setting("filter", "preset", None, "--preset", str, "named filter, overrides the width"),
+    Setting("filter", "preset", None, "--preset", str, "named filter, sets the width"),
     Setting("filter", "center_over_gamma", 0.0, "--filter-center", float, "filter center over gamma"),
     Setting("background", "beta_lo", 0.0, "--beta-lo", float, "lower laser background fraction", 0),
     Setting("background", "beta_hi", 0.0, "--beta-hi", float, "upper laser background fraction", 0),
@@ -191,7 +192,10 @@ def build_emitter(config):
 
 
 def resolve_filter_width(config, emitter):
-    """Filter width in rate units from width_over_gamma or a named preset."""
+    """Filter width in rate units from width_over_gamma or a named preset.
+
+    A preset sets the width; a width that is also given must be the
+    preset's, as in the embedded config of a preset run's artifact."""
     width_rel = config["filter"]["width_over_gamma"]
     preset_name = config["filter"]["preset"]
     if preset_name is not None:
@@ -199,8 +203,13 @@ def resolve_filter_width(config, emitter):
             preset = filter_preset(preset_name)
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from exc
-        config["filter"]["preset"] = preset.name
         width = preset.fwhm_ueV / HBAR_UEV_PS
+        if width_rel is not None and not math.isclose(width_rel, width / emitter.gamma, rel_tol=1e-12):
+            raise ConfigError(
+                f"filter.preset {preset.name!r} sets filter.width_over_gamma to "
+                f"{width / emitter.gamma!r}, which contradicts the given {width_rel!r}"
+            )
+        config["filter"]["preset"] = preset.name
         config["filter"]["width_over_gamma"] = width / emitter.gamma
         return width
     if width_rel is None:

@@ -114,8 +114,10 @@ _GROUPS = [
     (counts, [(a, c) for a in _BELOW for c in _BELOW if (sum(a), sum(c)) == counts])
     for counts in sorted(((i, j) for i in range(3) for j in range(3)), key=sum)[1:]
 ]
-# The row that takes the trace of a vectorized 2x2 operator.
+# The row that takes the trace of a vectorized 2x2 operator, and the four
+# rows that take it of each block of the trace generator's state.
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
+_BLOCK_TRACES = np.kron(np.eye(4), _TRACE_ROW)
 
 
 class SensorPipeline:
@@ -179,9 +181,10 @@ class SensorPipeline:
         self._traces = (self._components @ _TRACE_ROW).reshape(4, 4)
         self._rate = k
         # The 16x16 trace generator is built on the first trace; every
-        # pipeline displaced from this one shares the slot of its propagator.
+        # pipeline displaced from this one shares the slot of its propagator
+        # and its probe and jump bases.
         self._blocks = (L, emit, absorb)
-        self._propagator = [None]
+        self._trace = [None, None]
         self._displace(background_b)
 
     def _displace(self, background_b):
@@ -204,7 +207,7 @@ class SensorPipeline:
     @property
     def propagator(self):
         """The trace propagator, or None until a delay has been propagated."""
-        return self._propagator[0]
+        return self._trace[0]
 
     def _normalization(self):
         """<n1><n2> in the pipeline's units."""
@@ -224,19 +227,32 @@ class SensorPipeline:
         one at b = 0 and D the displacement of sensor 2, so Y is evolved by G
         from D^-1 Y(0), which displaces sensor 1 only, and D is applied in
         the probe: tr Y[1, 1] + beta tr Y[0, 1] + conj(beta) tr Y[1, 0]
-        + |beta|^2 tr Y[0, 0].
+        + |beta|^2 tr Y[0, 0].  Both are quadratic in beta over four b = 0
+        basis vectors; see :func:`_g2_grid`.
         """
         taus = _check_taus(taus)
         if np.all(taus == 0.0):
             return np.full(taus.shape, self.g2_zero())
-        shift = np.array([self._beta, 1.0])
-        # (Y00, Y10, Y01, Y11), Y[s, s'] at index 2 s' + s.
-        jumped = np.einsum("i,k,iskrt->rst", shift, shift.conj(), self._components).reshape(16)
-        probe = np.multiply.outer(np.outer(shift.conj(), shift), _TRACE_ROW).reshape(16)
-        if self._propagator[0] is None:
-            self._propagator[0] = qmath.Propagator(self._generator())
-        evolved = self._propagator[0].apply_grid(jumped, taus)
-        return _real_part(probe @ evolved / self._normalization(), "filtered g2")
+        return _g2_grid([self], taus)[0]
+
+    def _bases(self):
+        """The trace propagator and the probe and jump bases, four rows each.
+
+        A pipeline at b probes with conj(w) @ probes and jumps from
+        w @ jumps, w its shift weights (see :func:`_g2_grid`).  On the eig
+        path the bases are carried into the eigenbasis, probes @ V and
+        jumps @ V^-T, so V^-1 is applied to them once per propagator."""
+        if self._trace[0] is None:
+            L, emit, absorb = self._blocks
+            propagator = qmath.Propagator(self._generator(), _trace_eigen(L, emit, absorb, self._rate))
+            # (Y00, Y10, Y01, Y11), Y[s, s'] at index 2 s' + s, from X[i s, k s'].
+            jumps = np.einsum("iskrt->ikrst", self._components).reshape(4, 16)
+            probes = _BLOCK_TRACES
+            if propagator.method == "eig":
+                probes = probes @ propagator.eigenvectors
+                jumps = jumps @ propagator.inverse.T
+            self._trace[:] = propagator, (probes, jumps)
+        return self._trace
 
     def _generator(self):
         """The b = 0 generator over (Y00, Y10, Y01, Y11), driven as in the
@@ -258,6 +274,70 @@ class SensorPipeline:
         for (i, j), block in blocks.items():
             generator[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = block
         return generator
+
+
+def _trace_eigen(L, emit, absorb, k):
+    """Eigenvalues and unit eigenvectors of the trace generator from one 4x4
+    eigendecomposition L = V Lambda V^-1 of the emitter Liouvillian.
+
+    In the basis I (x) V the generator is block lower triangular, with
+    diagonal blocks Lambda - s, s = 0, k, conj(k), 2 Re k in the block order
+    (Y00, Y10, Y01, Y11).  Its eigenvalues are lambda - s and its
+    eigenvectors the columns of (I (x) V) W, W unit block lower triangular:
+    W[1, 0] = W[3, 2] = E / D_k, W[2, 0] = W[3, 1] = A / D_conj(k) and
+    W[3, 0] = (A W[1, 0] + E W[2, 0]) / D_(2 Re k), entrywise quotients,
+    with E = V^-1 emit V, A = V^-1 absorb V and D_t[i, m] = lambda_m
+    - lambda_i + t.  Each column is scaled to unit 2-norm, as numpy.linalg.eig
+    returns them.  An exact filter coincidence, D_t = 0, leaves non-finite
+    eigenvectors, which :class:`qmath.Propagator` reads as condition inf.
+    """
+    lam, V = np.linalg.eig(L)
+    shifts = (0.0, k, k.conjugate(), 2.0 * k.real)
+    evals = np.concatenate([lam - s for s in shifts])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            inverse = np.linalg.inv(V)
+        except np.linalg.LinAlgError:
+            return evals, np.full((16, 16), np.nan)
+        E, A = inverse @ emit @ V, inverse @ absorb @ V
+        gaps = lam[None, :] - lam[:, None]
+        Wk = E / (gaps + k)
+        Wkbar = A / (gaps + k.conjugate())
+        W30 = (A @ Wk + E @ Wkbar) / (gaps + 2.0 * k.real)
+        evecs = np.zeros((16, 16), dtype=complex)
+        for j in range(4):
+            evecs[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = V
+        evecs[4:8, :4] = evecs[12:16, 8:12] = V @ Wk
+        evecs[8:12, :4] = evecs[12:16, 4:8] = V @ Wkbar
+        evecs[12:16, :4] = V @ W30
+        evecs /= np.linalg.norm(evecs, axis=0)
+    return evals, evecs
+
+
+def _g2_grid(pipelines, taus):
+    """Filtered g2 of pipelines displaced from one b = 0 solve, one row each
+    on one tau grid (nonnegative, ascending).
+
+    With w a pipeline's shift weights and (probes, jumps) the shared bases,
+    the eig path gives every row as one pole sum sum_mu c_mu exp(lambda_mu tau),
+    c = (conj(w) @ probes) (w @ jumps) / (n1 n2) in the eigenbasis, over one
+    table of exp(lambda tau) for all rows.  The expm path propagates each
+    jumped state.
+    """
+    propagator, (probes, jumps) = pipelines[0]._bases()
+    # Weights of the jump basis, shift_i conj(shift_k) at 2 i + k with
+    # shift = (beta, 1); the probe basis takes their conjugates.
+    weights = np.array([[abs(p._beta) ** 2, p._beta, p._beta.conjugate(), 1.0] for p in pipelines])
+    norms = np.array([p._normalization() for p in pipelines])
+    left, right = weights.conj() @ probes, weights @ jumps
+    if propagator.method == "eig":
+        rows = propagator.pole_sum(left * right / norms[:, None], taus)
+    else:
+        rows = [
+            probe @ propagator.apply_grid(jumped, taus) / norm
+            for probe, jumped, norm in zip(left, right, norms)
+        ]
+    return [_real_part(row, "filtered g2") for row in rows]
 
 
 class TwoSensorModel:
@@ -499,19 +579,21 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
     )
 
 
-def _g2_zero_convolved(pipeline, irf):
-    """IRF-smeared g2(0) of one pipeline: one sum of the detector kernel
-    centred on tau = 0 over the even extension of g2, sampled at the delay
-    spacing that a full trace at this point would use."""
+def _g2_zero_convolved(pipelines, irf):
+    """IRF-smeared g2(0) of pipelines displaced from one b = 0 solve: one sum
+    of the detector kernel centred on tau = 0 over the even extension of each
+    g2, sampled at the delay spacing that a full trace at this point would
+    use.  The kernel grid is built once, for every pipeline."""
     from .instrument import _kernel  # deferred: instrument imports CorrelationTrace
 
-    span = max(_default_span(pipeline.emitter, (pipeline.filter_width,)), 8.0 * irf.fwhm)
+    first = pipelines[0]
+    span = max(_default_span(first.emitter, (first.filter_width,)), 8.0 * irf.fwhm)
     n = max(DEFAULT_TAU_POINTS, int(np.ceil(span / (irf.fwhm / 10.0))) + 1)
     dt = span / (n - 1)
     kernel = _kernel(irf.fwhm, dt)
     half = kernel.size // 2
-    g2 = pipeline.g2_values(np.arange(half + 1) * dt)
-    return float(kernel @ np.concatenate([g2[:0:-1], g2]))
+    head = np.arange(half + 1) * dt
+    return [float(kernel @ np.concatenate([g2[:0:-1], g2])) for g2 in _g2_grid(pipelines, head)]
 
 
 def sweep_g2_zero(
@@ -554,7 +636,8 @@ def sweep_point(emitter, axis, x, filter_width, filter_center, beta_lo, beta_hi,
     """One sweep row, the unit that the CLI sweep loop calls per value.
 
     Every value comes from one b = 0 pipeline: g2_ideal directly, each
-    background bound through its calibration from it.
+    background bound through its calibration from it, and with an IRF both
+    bounds through one smear.
     """
     if axis == "filter_width":
         em, width = emitter, x
@@ -564,8 +647,9 @@ def sweep_point(emitter, axis, x, filter_width, filter_center, beta_lo, beta_hi,
         raise ValueError(f"axis must be 'filter_width' or 'rabi', got {axis!r}")
 
     ideal = SensorPipeline(em, width, filter_center)
-    row = {"x": x, "g2_ideal": ideal.g2_zero()}
-    for key, beta in (("g2_lo", beta_lo), ("g2_hi", beta_hi)):
-        pipeline = calibrate_background(ideal, beta)
-        row[key] = pipeline.g2_zero() if irf is None else _g2_zero_convolved(pipeline, irf)
-    return row
+    bounds = [calibrate_background(ideal, beta) for beta in (beta_lo, beta_hi)]
+    if irf is None:
+        g2_lo, g2_hi = (pipeline.g2_zero() for pipeline in bounds)
+    else:
+        g2_lo, g2_hi = _g2_zero_convolved(bounds, irf)
+    return {"x": x, "g2_ideal": ideal.g2_zero(), "g2_lo": g2_lo, "g2_hi": g2_hi}

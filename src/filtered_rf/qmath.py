@@ -29,10 +29,11 @@ __all__ = [
 # of the null space, and relative residual accepted for the steady state.
 NULLSPACE_TOL = 1e-10
 
-# Eigenvector condition number above which the propagator abandons the
-# eigenbasis and falls back to scaling-and-squaring.  Defective generators
-# (rabi = gamma/4; a zero-coupling sensor with width = gamma) reach 1e7-1e12
-# through eig, with errors up to 1e-7; below 1e6 errors stay under 1e-12.
+# Eigenvector condition number, in the 1-norm, above which the propagator
+# abandons the eigenbasis and falls back to scaling-and-squaring.  Defective
+# generators (rabi = gamma/4; a zero-coupling sensor with width = gamma)
+# reach 1e7-1e12 through eig, with errors up to 1e-7; below 1e6 errors stay
+# under 1e-12.
 COND_LIMIT = 1e6
 
 
@@ -98,29 +99,40 @@ def sandwich(a, b):
 class Propagator:
     """Action of exp(L t) for a fixed generator L.
 
-    The generator is eigendecomposed once, so evaluating a dense tau grid
-    afterwards costs one small matrix product.  If the eigenvector matrix
-    is ill conditioned (near-defective L, which happens at parameter
-    exceptional points), the instance falls back to scaling-and-squaring;
-    ``method`` records which path is active and ``condition`` the
-    eigenvector condition number that the eig path runs at (inf on the
-    expm path).
+    The generator is eigendecomposed once, L = V diag(lambda) V^-1, so
+    evaluating a dense tau grid afterwards costs one small matrix product.
+    A caller that knows the generator's structure may hand in the
+    decomposition, ``eigen = (lambda, V)``; otherwise ``numpy.linalg.eig``
+    computes it.  V^-1 is formed explicitly, once: it measures the
+    condition number ||V||_1 ||V^-1||_1 and replaces a solve on every
+    apply.  If that condition exceeds COND_LIMIT (near-defective L, which
+    happens at parameter exceptional points) or V is not finite, the
+    instance falls back to scaling-and-squaring.  ``method`` records which
+    path is active and ``condition`` the condition number that the eig
+    path runs at (inf on the expm path); ``eigenvalues``, ``eigenvectors``
+    and ``inverse`` hold lambda, V and V^-1 on the eig path, None on the
+    expm path.
     """
 
-    def __init__(self, generator):
+    def __init__(self, generator, eigen=None):
         self.matrix = _as_square(generator, "generator")
         self.method = "expm"
         self.condition = math.inf
+        self.eigenvalues = self.eigenvectors = self.inverse = None
+        cond = np.inf
         try:
-            evals, evecs = np.linalg.eig(self.matrix)
-            cond = np.linalg.cond(evecs)
+            evals, evecs = np.linalg.eig(self.matrix) if eigen is None else eigen
+            if np.isfinite(evecs).all():
+                inverse = np.linalg.inv(evecs)
+                cond = np.linalg.norm(evecs, 1) * np.linalg.norm(inverse, 1)
         except np.linalg.LinAlgError:
-            cond = np.inf
+            pass
         if np.isfinite(cond) and cond <= COND_LIMIT:
             self.method = "eig"
             self.condition = float(cond)
-            self._evals = evals
-            self._evecs = evecs
+            self.eigenvalues = evals
+            self.eigenvectors = evecs
+            self.inverse = inverse
 
     @property
     def dim(self):
@@ -141,10 +153,20 @@ class Propagator:
         if not np.all(np.isfinite(taus)):
             raise ValueError("times contain non-finite entries")
         if self.method == "eig":
-            w = np.linalg.solve(self._evecs, v)
-            phases = np.exp(np.outer(self._evals, taus))
-            return self._evecs @ (w[:, None] * phases)
+            w = self.inverse @ v
+            phases = np.exp(np.outer(self.eigenvalues, taus))
+            return self.eigenvectors @ (w[:, None] * phases)
         return self._apply_grid_expm(v, taus)
+
+    def pole_sum(self, weights, taus):
+        """sum_mu weights[..., mu] exp(lambda_mu tau) for every tau, one row
+        per row of weights (eig path only).
+
+        The poles are added one after another, elementwise, so the result
+        does not depend on how a BLAS library would split a product.
+        """
+        phases = np.exp(np.multiply.outer(self.eigenvalues, taus))
+        return (weights[..., None] * phases).sum(axis=-2)
 
     def _apply_grid_expm(self, v, taus):
         import scipy.linalg  # deferred: only near-defective generators need it

@@ -89,6 +89,38 @@ class TestG2Trace:
         assert code == 0
         assert any(line.startswith("# units: tau_ps=ps") for line in text.splitlines())
 
+    def test_preset_contradicting_the_width_exits_one(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "g2-trace", "--preset", "etalon", "--filter-width", "0.5")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "filter.preset" in err and "filter.width_over_gamma" in err
+
+    def test_preset_artifact_replays_to_the_same_bytes(self, tmp_path):
+        # The embedded config holds both the preset and the width it set.
+        code, first = run(tmp_path, "g2-trace", "--preset", "etalon", "--n-tau", "101")
+        assert code == 0
+        code, again = run(tmp_path, "g2-trace", "--config", str(tmp_path / "out.csv"), name="again.csv")
+        assert code == 0
+        assert again == first
+
+    def test_trace_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # A product split across BLAS threads may add in another order; the
+        # traces add their poles elementwise, so the bytes are the same.
+        src = os.path.dirname(os.path.dirname(filtered_rf.__file__))
+        for width in ("0.29", "0.85", "4.85"):
+            texts = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads)
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+                path = tmp_path / f"w{width}-t{threads}.csv"
+                argv = ["g2-trace", "--filter-width", width, "--rabi", "0.5", "--irf", "--beta-hi", "0.2"]
+                proc = subprocess.run([sys.executable, "-m", "filtered_rf.cli", *argv, "-o", str(path)],
+                                      env=env, capture_output=True, text=True, timeout=60)
+                assert proc.returncode == 0, proc.stderr
+                texts.append(path.read_bytes())
+            assert texts[0] == texts[1], width
+
 
 class TestG2Sweep:
     def test_weak_drive_dataset(self, tmp_path):

@@ -317,6 +317,96 @@ class TestVanishingCouplingLimit:
         assert np.max(np.abs(limit - finite)) < 1e-5
 
 
+class TestTraceEigendecomposition:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rabi=st.floats(0.05, 20.0),
+        detuning=st.floats(-2.0, 2.0),
+        linewidth=st.sampled_from([0.0, 1e-3, 0.1]),
+        width=st.floats(0.01, 300.0),
+        center=st.floats(-3.0, 3.0),
+    )
+    def test_structured_eigenpairs_solve_the_generator(self, rabi, detuning, linewidth, width, center):
+        # The eigenpairs from L_e's 4x4 decomposition are eigenpairs of the
+        # 16x16 trace generator, with unit columns as numpy.linalg.eig gives.
+        em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning, laser_linewidth=linewidth)
+        pipe = SensorPipeline(em, width, center)
+        G = pipe._generator()
+        evals, evecs = filtercorr._trace_eigen(*pipe._blocks, pipe._rate)
+        assert np.linalg.norm(G @ evecs - evecs * evals) <= 1e-12 * np.linalg.norm(G)
+        assert np.allclose(np.linalg.norm(evecs, axis=0), 1.0, rtol=1e-14)
+        # The same spectrum as the generic decomposition, pole for pole.
+        generic = np.linalg.eigvals(G)
+        gaps = np.abs(evals[:, None] - generic[None, :]).min(axis=1)
+        assert gaps.max() <= 1e-6 * np.linalg.norm(G)
+
+    def test_exact_coincidence_reads_as_condition_inf(self):
+        # L_e's eigenvalues 0 and -1/2 with k = 1/2: lambda_m - lambda_i + k
+        # is exactly 0, a nonzero entry of E over it is inf and a zero one
+        # 0/0.  Neither may warn (warnings are errors here), and the
+        # propagator must take the expm path.
+        L = np.diag([0.0, -0.5, -1.0, -1.5]).astype(complex)
+        rng = np.random.default_rng(3)
+        emit = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        absorb = emit.conj().T
+        for zeroed in (False, True):
+            if zeroed:
+                emit[0, 1] = absorb[0, 1] = 0.0
+            evals, evecs = filtercorr._trace_eigen(L, emit, absorb, 0.5 + 0j)
+            assert not np.isfinite(evecs).all()
+            G = np.zeros((16, 16), dtype=complex)
+            for j, shift in enumerate((0.0, 0.5, 0.5, 1.0)):
+                G[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = L - shift * np.eye(4)
+            G[4:8, :4] = G[12:16, 8:12] = emit
+            G[8:12, :4] = G[12:16, 4:8] = absorb
+            prop = qmath.Propagator(G, (evals, evecs))
+            assert prop.method == "expm" and prop.condition == np.inf
+
+
+class TestAbstractClaim:
+    # Resonant drive and a resonant filter: as rabi -> 0 the filtered g2(0)
+    # tends to (gamma / (gamma + width))^2, and over the drive it never
+    # falls below that value, so a filter no wider than gamma keeps
+    # g2(0) >= 1/4.
+    WIDTHS = (0.1, 0.29, 0.5, 0.8, 1.0, 2.0, 5.0)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_weak_drive_limit(self, width):
+        bound = (1.0 / (1.0 + width)) ** 2
+        g2 = SensorPipeline(EmitterParams(gamma=1.0, rabi=1e-3), width).g2_zero()
+        assert g2 == pytest.approx(bound, rel=1e-5)
+        # The approach is O(rabi^2): measured 0.90 rabi^2 at most.
+        for rabi in (1e-3, 1e-2, 0.03, 0.1):
+            g2 = SensorPipeline(EmitterParams(gamma=1.0, rabi=rabi), width).g2_zero()
+            assert abs(g2 - bound) <= rabi**2
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_rabi=st.floats(-3.0, 1.5), width=st.floats(0.1, 5.0))
+    def test_weak_drive_value_bounds_g2_zero(self, log_rabi, width):
+        g2 = SensorPipeline(EmitterParams(gamma=1.0, rabi=10.0**log_rabi), width).g2_zero()
+        assert g2 >= (1.0 / (1.0 + width)) ** 2 * (1.0 - 1e-12)
+
+
+class TestMirrorSymmetry:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rabi=st.floats(0.01, 20.0),
+        detuning=st.floats(-2.0, 2.0),
+        width=st.floats(0.01, 100.0),
+        center=st.floats(-3.0, 3.0),
+    )
+    def test_g2_zero_is_even_under_mirroring(self, rabi, detuning, width, center):
+        # Mirroring every frequency about the laser maps the problem onto
+        # itself: center -> -center at resonant drive, and (detuning,
+        # center) -> (-detuning, -center) off it.
+        resonant = EmitterParams(gamma=1.0, rabi=rabi)
+        g2 = SensorPipeline(resonant, width, center).g2_zero()
+        assert SensorPipeline(resonant, width, -center).g2_zero() == pytest.approx(g2, rel=1e-12)
+        g2 = SensorPipeline(EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning), width, center).g2_zero()
+        mirrored = EmitterParams(gamma=1.0, rabi=rabi, detuning=-detuning)
+        assert SensorPipeline(mirrored, width, -center).g2_zero() == pytest.approx(g2, rel=1e-12)
+
+
 class TestEtaProtocol:
     def test_accepted_at_default_coupling(self):
         for em, width in ((WEAK, 150.0), (WEAK, 0.01), (STRONG, 0.29)):
@@ -514,11 +604,36 @@ class TestSweep:
         span = max(default_tau_grid(em, (width * gamma,))[-1], 8.0 * irf.fwhm)
         taus = np.linspace(0.0, span, max(2001, int(np.ceil(span / (irf.fwhm / 10.0))) + 1))
         head = taus[: kernel_half_width(irf.fwhm, taus[1]) + 1]
-        for beta in (0.0, 0.2):
-            pipeline = calibrate_background(ideal, beta)
+        bounds = [calibrate_background(ideal, beta) for beta in (0.0, 0.2)]
+        smeared = filtercorr._g2_zero_convolved(bounds, irf)
+        for pipeline, got in zip(bounds, smeared):
             trace = filtercorr.CorrelationTrace(taus=head, values=pipeline.g2_values(head))
             expected = irf_convolve(trace, irf).values[0]
-            assert filtercorr._g2_zero_convolved(pipeline, irf) == pytest.approx(expected, abs=1e-14)
+            assert got == pytest.approx(expected, abs=1e-14)
+
+    def test_figure_traffic_runs_no_eig_above_4x4(self, monkeypatch):
+        # Every trace and IRF smear builds its poles from L_e's 4x4
+        # eigendecomposition; the generic 16x16 eig must not run on the
+        # fig2a IRF sweeps, the default-grid traces or the sideband point.
+        eig = np.linalg.eig
+
+        def small_eig(a):
+            if np.shape(a)[-1] > 4:
+                raise AssertionError(f"numpy.linalg.eig ran on a {np.shape(a)} matrix")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", small_eig)
+        gamma = 20.0 / HBAR_UEV_PS
+        irf = GaussianIRF(fwhm=37.5)
+        for rabi in (0.5, 2.0):
+            em = EmitterParams(gamma=gamma, rabi=rabi * gamma)
+            for width in (150.0, 23.0, 4.85, 0.85, 0.29, 0.0125):
+                sweep_point(em, "filter_width", width * gamma, None, 0.0, 0.0, 0.2, irf)
+        em = EmitterParams(gamma=gamma, rabi=0.5 * gamma)
+        for width in (0.29, 0.85, 4.85):
+            assert filtered_g2(em, width * gamma).metadata["propagator_method"] == "eig"
+        sideband = filtered_g2(EmitterParams(gamma=1.0, rabi=2.0), 0.01, filter_center=2.0)
+        assert sideband.metadata["propagator_method"] == "eig"
 
     def test_sweep_point_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="'filter_width' or 'rabi'"):

@@ -114,7 +114,7 @@ class TestExpmApply:
         prop = qmath.Propagator(L)
         assert prop.method == "eig"
         evecs = np.linalg.eig(L)[1]
-        assert prop.condition == pytest.approx(np.linalg.cond(evecs), rel=1e-12)
+        assert prop.condition == pytest.approx(np.linalg.cond(evecs, 1), rel=1e-12)
         assert 1.0 < prop.condition <= qmath.COND_LIMIT
 
     def test_rejects_non_finite_input(self):
