@@ -15,13 +15,13 @@ import pathlib
 
 import numpy as np
 
-from filtered_rf import EmitterParams, sweep_g2_zero
+from filtered_rf import EmitterParams, sweep_point
 
 here = pathlib.Path(__file__).parent
 emitter = EmitterParams(gamma=1.0, rabi=2.0)
 
 rabi_values = np.linspace(0.4, 6.0, 15)
-rows = sweep_g2_zero(emitter, "rabi", rabi_values, filter_width=0.29)
+rows = [sweep_point(emitter, "rabi", x, 0.29) for x in rabi_values]
 with open(here / "demo_bunching_vs_drive.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["rabi_over_gamma", "g2_ideal"])
@@ -31,7 +31,7 @@ crossing = next(x for x, r in zip(rabi_values, rows) if r["g2_ideal"] > 1.0)
 print(f"drive sweep: crosses g2(0) = 1 near rabi = {crossing:.2g} gamma")
 
 widths = np.logspace(np.log10(0.01), np.log10(20.0), 13)
-rows = sweep_g2_zero(emitter, "filter_width", widths, beta_bounds=(0.0, 0.2))
+rows = [sweep_point(emitter, "filter_width", x, beta_hi=0.2) for x in widths]
 with open(here / "demo_bunching_vs_width.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["filter_width_over_gamma", "g2_clean", "g2_background20"])

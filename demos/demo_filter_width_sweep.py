@@ -12,7 +12,7 @@ import pathlib
 
 import numpy as np
 
-from filtered_rf import EmitterParams, GaussianIRF, HBAR_UEV_PS, sweep_g2_zero
+from filtered_rf import EmitterParams, GaussianIRF, HBAR_UEV_PS, sweep_point
 
 GAMMA_UEV = 20.0
 gamma = GAMMA_UEV / HBAR_UEV_PS  # 1/ps
@@ -24,9 +24,7 @@ detector = GaussianIRF(fwhm=37.5)  # ps
 print(f"emitter: gamma = {GAMMA_UEV} ueV, rabi = 0.5 gamma")
 print(f"sweeping {widths.size} filter widths from {widths[0]:.3g} to {widths[-1]:.0f} gamma")
 
-rows = sweep_g2_zero(
-    emitter, "filter_width", widths * gamma, beta_bounds=(0.0, 0.0), irf=detector
-)
+rows = [sweep_point(emitter, "filter_width", width * gamma, irf=detector) for width in widths]
 
 out = pathlib.Path(__file__).with_suffix("").name + ".csv"
 with open(pathlib.Path(__file__).parent / out, "w", newline="") as fh:

@@ -37,7 +37,7 @@ from .filtercorr import (
     default_eta,
     eta_convergence,
     filtered_g2,
-    sweep_g2_zero,
+    sweep_point,
     unfiltered_g2,
 )
 from .spectrum import (
@@ -89,7 +89,7 @@ __all__ = [
     "eta_convergence",
     "filtered_g2",
     "unfiltered_g2",
-    "sweep_g2_zero",
+    "sweep_point",
     "SpectralComponent",
     "SpectrumDecomposition",
     "coherent_fraction",

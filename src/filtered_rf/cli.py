@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import json
 import math
 import sys
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filtercorr import CorrelationTrace, SensorPipeline, calibrate_background, sweep_point
+from .filtercorr import _axis_point, filtered_g2, sweep_point
 from .instrument import GaussianIRF, filter_preset, irf_convolve, spectral_irf_convolve
 from .spectrum import emission_spectrum, filtered_fractions, lorentzian_transmission
 from .system import HBAR_UEV_PS, EmitterParams
@@ -310,6 +309,8 @@ def write_output(subcommand, config, table, units, extra=None):
 
 
 def cmd_g2_trace(config):
+    """Each background bound is one :func:`filtered_g2` trace on the
+    command's delay grid, smeared by :func:`irf_convolve` with ``--irf``."""
     emitter = build_emitter(config)
     width = resolve_filter_width(config, emitter)
     center = config["filter"]["center_over_gamma"] * emitter.gamma
@@ -318,20 +319,14 @@ def cmd_g2_trace(config):
     taus = tau_grid(config, emitter, width)
     irf = GaussianIRF(config["irf"]["fwhm_ps"]) if config["irf"]["enabled"] else None
 
-    # Both background bounds calibrate from the one b = 0 pipeline.
-    ideal = SensorPipeline(emitter, width, center)
-    lo_values = calibrate_background(ideal, beta_lo).g2_values(taus)
-
-    def smeared(values):
-        return irf_convolve(CorrelationTrace(taus=taus, values=values), irf).values
-
-    table = {"tau_ps": taus, "g2": lo_values}
+    lo = filtered_g2(emitter, width, center, beta_lo, taus)
+    table = {"tau_ps": taus, "g2": lo.values}
     if irf is not None:
-        table["g2_irf"] = smeared(lo_values)
+        table["g2_irf"] = irf_convolve(lo, irf).values
     if beta_hi > beta_lo:
-        hi_values = calibrate_background(ideal, beta_hi).g2_values(taus)
-        table["g2_lo"] = lo_values if irf is None else table["g2_irf"]
-        table["g2_hi"] = hi_values if irf is None else smeared(hi_values)
+        hi = filtered_g2(emitter, width, center, beta_hi, taus)
+        table["g2_lo"] = lo.values if irf is None else table["g2_irf"]
+        table["g2_hi"] = hi.values if irf is None else irf_convolve(hi, irf).values
     write_output("g2-trace", config, table, ["ps"] + ["dimensionless"] * (len(table) - 1))
     return 0
 
@@ -339,33 +334,29 @@ def cmd_g2_trace(config):
 def _run_sweep(subcommand, config, columns, point):
     """The g2-sweep and fractions loop: one row per sweep value, in order.
 
-    The axis is resolved once; each value becomes an (emitter, filter width)
-    pair, and ``point(emitter, width)`` returns the row's columns.  A failing
-    point records "<Type>: <message>" in its error column instead of stopping
-    the sweep, and any failure makes the exit code 2.
+    Each value becomes an (emitter, filter width) pair through
+    :func:`filtercorr._axis_point`, as in :func:`sweep_point`, and
+    ``point(emitter, width)`` returns the row's columns.  A failing point
+    records "<Type>: <message>" in its error column instead of stopping the
+    sweep, and any failure makes the exit code 2.
     """
     emitter = build_emitter(config)
     axis = config["sweep"]["axis"]
     if axis not in ("filter-width", "rabi"):
         raise ConfigError(f"sweep.axis must be filter-width or rabi, got {axis!r}")
     values = sweep_values(config)
-    if axis == "rabi":
-        width = resolve_filter_width(config, emitter)
-        x_column = "rabi_over_gamma"
-        points = [(dataclasses.replace(emitter, rabi=x * emitter.gamma), width) for x in values]
-    else:
-        x_column = "filter_width_over_gamma"
-        points = [(emitter, x * emitter.gamma) for x in values]
+    axis = axis.replace("-", "_")
+    width = resolve_filter_width(config, emitter) if axis == "rabi" else None
 
     rows, errors = [], []
-    for args in points:
+    for x in values:
         try:
-            row, error = point(*args), None
+            row, error = point(*_axis_point(emitter, axis, x * emitter.gamma, width)), None
         except Exception as exc:  # per-point failure record
             row, error = {}, f"{type(exc).__name__}: {exc}"
         rows.append(row)
         errors.append(error)
-    table = {x_column: values, **{c: [row.get(c) for row in rows] for c in columns}, "error": errors}
+    table = {f"{axis}_over_gamma": values, **{c: [row.get(c) for row in rows] for c in columns}, "error": errors}
     write_output(subcommand, config, table, ["dimensionless"] * (len(table) - 1) + ["text"])
     return 2 if any(errors) else 0
 
@@ -422,6 +413,9 @@ def cmd_transmission(config):
 
 
 def cmd_fractions(config):
+    center = config["filter"]["center_over_gamma"]
+    if center != 0.0:  # filtered_fractions takes a filter on the laser line
+        raise ConfigError(f"filter.center_over_gamma must be 0 for fractions, got {center!r}")
     config["sweep"]["axis"] = config["sweep"]["axis"] or "filter-width"
     kinds = ["coherent", "rayleigh", "mollow_red", "mollow_blue", "other"]
     return _run_sweep("fractions", config, kinds, filtered_fractions)

@@ -38,7 +38,7 @@ __all__ = [
     "unfiltered_g2",
     "eta_convergence",
     "calibrate_background",
-    "sweep_g2_zero",
+    "sweep_point",
 ]
 
 DEFAULT_ETA_FACTOR = 1e-3
@@ -596,55 +596,34 @@ def _g2_zero_convolved(pipelines, irf):
     return [float(kernel @ np.concatenate([g2[:0:-1], g2])) for g2 in _g2_grid(pipelines, head)]
 
 
-def sweep_g2_zero(
-    emitter,
-    axis,
-    points,
-    filter_width=None,
-    filter_center=0.0,
-    beta_bounds=(0.0, 0.0),
-    irf=None,
-):
-    """g2(0) along a filter-width or drive-strength sweep.
-
-    Returns one row per point: the ideal value (no background, no IRF) and
-    the values at the two background bounds, IRF-convolved when an IRF is
-    given.  Rows come back in input order.
-    """
-    if axis not in ("filter_width", "rabi"):
+def _axis_point(emitter, axis, x, filter_width):
+    """The (emitter, filter width) of one sweep value: x is the filter width
+    on the filter_width axis and the drive strength on the rabi axis, which
+    keeps the fixed ``filter_width``."""
+    if axis == "filter_width":
+        return emitter, x
+    if axis != "rabi":
         raise ValueError(f"axis must be 'filter_width' or 'rabi', got {axis!r}")
-    points = [float(x) for x in points]
-    if not points:
-        raise ValueError("sweep needs at least one point")
-    if any(x <= 0.0 for x in points):
-        raise ValueError("sweep points must be positive")
-    beta_lo, beta_hi = (float(b) for b in beta_bounds)
+    if filter_width is None:
+        raise ValueError("a fixed filter_width is required when sweeping rabi")
+    return replace(emitter, rabi=x), filter_width
+
+
+def sweep_point(
+    emitter, axis, x, filter_width=None, filter_center=0.0, beta_lo=0.0, beta_hi=0.0, irf=None
+):
+    """g2(0) at one value x of a filter-width or drive-strength sweep, the
+    unit that a sweep (the CLI's, or a comprehension) calls per value.
+
+    Returns the row {"x", "g2_ideal", "g2_lo", "g2_hi"}: the ideal value (no
+    background, no IRF) and the values at the two background bounds,
+    IRF-convolved when an IRF is given.  Every value comes from one b = 0
+    pipeline: g2_ideal directly, each background bound through its
+    calibration from it, and with an IRF both bounds through one smear.
+    """
+    em, width = _axis_point(emitter, axis, x, filter_width)
     if beta_lo > beta_hi:
         raise ValueError(f"beta bounds out of order: {beta_lo} > {beta_hi}")
-    if axis == "rabi" and filter_width is None:
-        raise ValueError("a fixed filter_width is required when sweeping rabi")
-
-    rows = []
-    for x in points:
-        rows.append(
-            sweep_point(emitter, axis, x, filter_width, filter_center, beta_lo, beta_hi, irf)
-        )
-    return rows
-
-
-def sweep_point(emitter, axis, x, filter_width, filter_center, beta_lo, beta_hi, irf):
-    """One sweep row, the unit that the CLI sweep loop calls per value.
-
-    Every value comes from one b = 0 pipeline: g2_ideal directly, each
-    background bound through its calibration from it, and with an IRF both
-    bounds through one smear.
-    """
-    if axis == "filter_width":
-        em, width = emitter, x
-    elif axis == "rabi":
-        em, width = replace(emitter, rabi=x), filter_width
-    else:
-        raise ValueError(f"axis must be 'filter_width' or 'rabi', got {axis!r}")
 
     ideal = SensorPipeline(em, width, filter_center)
     bounds = [calibrate_background(ideal, beta) for beta in (beta_lo, beta_hi)]

@@ -32,8 +32,10 @@ NULLSPACE_TOL = 1e-10
 # Eigenvector condition number, in the 1-norm, above which the propagator
 # abandons the eigenbasis and falls back to scaling-and-squaring.  Defective
 # generators (rabi = gamma/4; a zero-coupling sensor with width = gamma)
-# reach 1e7-1e12 through eig, with errors up to 1e-7; below 1e6 errors stay
-# under 1e-12.
+# reach 1e7-1e12 through eig, with errors up to 1e-7.  Up to 1e4 the trace
+# residuals measured stay under 1e-12; above it they need not: within about
+# 3e-8 gamma of rabi = gamma/4, a detuned filter's trace generator passes
+# at 4e4-1e6 and its g2 can carry an imaginary part above 1e-9.
 COND_LIMIT = 1e6
 
 

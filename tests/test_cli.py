@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import filtered_rf
+from filtered_rf import EmitterParams, GaussianIRF, HBAR_UEV_PS, filtered_g2, irf_convolve, sweep_point
 from filtered_rf.cli import SETTINGS, main
 
 FLAG = {f"{s.section}.{s.key}": s.flags.split()[-1] for s in SETTINGS}
@@ -48,6 +49,17 @@ def run(tmp_path, *argv, name="out.csv"):
 def data_rows(text):
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     return lines[0].split(","), [l.split(",") for l in lines[1:]]
+
+
+def columns(text):
+    header, rows = data_rows(text)
+    return dict(zip(header, map(list, zip(*rows))))
+
+
+def lab_emitter(rabi):
+    """The CLI's default emitter at drive rabi (over gamma), in 1/ps."""
+    gamma = 20.0 / HBAR_UEV_PS
+    return EmitterParams(gamma=gamma, rabi=rabi * gamma, laser_linewidth=10.0 / 1000.0 / HBAR_UEV_PS)
 
 
 class TestG2Trace:
@@ -102,6 +114,26 @@ class TestG2Trace:
         code, again = run(tmp_path, "g2-trace", "--config", str(tmp_path / "out.csv"), name="again.csv")
         assert code == 0
         assert again == first
+
+    @pytest.mark.parametrize("irf", [False, True])
+    def test_columns_are_filtered_g2(self, tmp_path, irf):
+        # Each background bound is one filtered_g2 trace on the CLI's grid,
+        # smeared by irf_convolve, to the last digit.
+        argv = ["--filter-width", "0.85", "--filter-center", "0.3", "--beta-lo", "0.05", "--beta-hi", "0.2"]
+        code, text = run(tmp_path, "g2-trace", *argv, "--n-tau", "401", *(["--irf"] if irf else []))
+        assert code == 0
+        table = columns(text)
+        taus = np.array([float(t) for t in table["tau_ps"]])
+        em = lab_emitter(0.5)
+        lo, hi = (filtered_g2(em, 0.85 * em.gamma, 0.3 * em.gamma, beta, taus) for beta in (0.05, 0.2))
+        if irf:
+            smeared = [irf_convolve(trace, GaussianIRF(37.5)).values for trace in (lo, hi)]
+            expected = {"g2": lo.values, "g2_irf": smeared[0], "g2_lo": smeared[0], "g2_hi": smeared[1]}
+        else:
+            expected = {"g2": lo.values, "g2_lo": lo.values, "g2_hi": hi.values}
+        assert list(table) == ["tau_ps", *expected]
+        for name, values in expected.items():
+            assert table[name] == [repr(v) for v in values.tolist()], name
 
     def test_trace_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # A product split across BLAS threads may add in another order; the
@@ -182,6 +214,23 @@ class TestG2Sweep:
         assert [len(row) for row in rows] == [len(header)] * 2
         assert [row[header.index("error")] for row in rows] == [f"RuntimeError: {message}"] * 2
 
+    @pytest.mark.parametrize("axis", ["filter-width", "rabi"])
+    def test_rows_are_sweep_point_rows(self, tmp_path, axis):
+        # The CLI loop resolves each value as sweep_point does and writes
+        # its row to the last digit.
+        band = ["--filter-center", "0.7", "--beta-lo", "0.05", "--beta-hi", "0.2", "--irf"]
+        code, text = run(tmp_path, "g2-sweep", "--axis", axis, "--values", "0.5,3", "--filter-width", "0.29", *band)
+        assert code == 0
+        table = columns(text)
+        em = lab_emitter(0.5)
+        gamma = em.gamma
+        for i, x in enumerate((0.5, 3.0)):
+            row = sweep_point(em, axis.replace("-", "_"), x * gamma, 0.29 * gamma, 0.7 * gamma, 0.05, 0.2,
+                              GaussianIRF(37.5))
+            assert [table[c][i] for c in ("g2_ideal", "g2_lo", "g2_hi")] == [
+                repr(row[c]) for c in ("g2_ideal", "g2_lo", "g2_hi")
+            ]
+
     def test_preset_equals_explicit_width(self, tmp_path):
         code, a = run(tmp_path, "g2-sweep", "--axis", "rabi", "--values", "2.0", "--preset", "etalon", name="a.csv")
         code2, b = run(tmp_path, "g2-sweep", "--axis", "rabi", "--values", "2.0", "--filter-width", "0.29", name="b.csv")
@@ -260,6 +309,14 @@ class TestFractions:
         broad = dict(zip(header, rows[1]))
         assert float(narrow["coherent"]) > 0.99
         assert float(broad["coherent"]) < 0.7
+
+
+    def test_filter_center_exits_one(self, tmp_path, capsys):
+        # The filtered fractions are those of a filter on the laser line.
+        code, _ = run(tmp_path, "fractions", "--axis", "rabi", "--values", "0.5,1", "--preset", "etalon",
+                      "--filter-center", "2")
+        assert code == 1
+        assert "error: filter.center_over_gamma " in capsys.readouterr().err
 
 
 class TestConfigHandling:
@@ -346,6 +403,12 @@ class TestConfigHandling:
     def test_settings_the_command_ignores_are_checked(self, capsys, argv, key):
         assert main([*argv, "-o", "-"]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("subcommand", ["g2-sweep", "fractions", "transmission"])
+    def test_nonpositive_sweep_values_exit_one(self, capsys, subcommand, value):
+        assert main([subcommand, "--axis", "filter-width", f"--values={value}", "-o", "-"]) == 1
+        assert "error: sweep.values must be positive" in capsys.readouterr().err
 
     def test_negative_offsets_allowed(self, tmp_path):
         code, _ = run(

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from filtered_rf.filtercorr import (
     default_eta,
     eta_convergence,
     filtered_g2,
-    sweep_g2_zero,
     sweep_point,
     unfiltered_g2,
 )
@@ -116,7 +116,7 @@ class TestFilteredG2:
         with pytest.raises(ValueError, match="filter (width|center) must be finite"):
             SensorPipeline(WEAK, width, center)
         with pytest.raises(ValueError, match="filter (width|center) must be finite"):
-            sweep_g2_zero(WEAK, "rabi", [0.5], filter_width=width, filter_center=center)
+            sweep_point(WEAK, "rabi", 0.5, width, center)
 
     def test_zero_drive_is_an_error(self):
         # Without drive there is no emission to normalize by.
@@ -326,15 +326,23 @@ class TestTraceEigendecomposition:
         width=st.floats(0.01, 300.0),
         center=st.floats(-3.0, 3.0),
     )
+    @example(rabi=0.25, detuning=0.0, linewidth=0.0, width=1.0, center=0.0)
+    @example(rabi=0.25, detuning=0.0, linewidth=0.0, width=0.5, center=0.0)
     def test_structured_eigenpairs_solve_the_generator(self, rabi, detuning, linewidth, width, center):
         # The eigenpairs from L_e's 4x4 decomposition are eigenpairs of the
         # 16x16 trace generator, with unit columns as numpy.linalg.eig gives.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning, laser_linewidth=linewidth)
         pipe = SensorPipeline(em, width, center)
         G = pipe._generator()
-        evals, evecs = filtercorr._trace_eigen(*pipe._blocks, pipe._rate)
-        assert np.linalg.norm(G @ evecs - evecs * evals) <= 1e-12 * np.linalg.norm(G)
-        assert np.allclose(np.linalg.norm(evecs, axis=0), 1.0, rtol=1e-14)
+        eigen = evals, evecs = filtercorr._trace_eigen(*pipe._blocks, pipe._rate)
+        if rabi == 0.25 and abs(detuning) < 1e-8:
+            # The Mollow threshold (a detuning below 1e-8 is zero to this
+            # precision): L_e is defective, so no eigenbasis exists, and the
+            # propagator must not use these pairs.
+            assert qmath.Propagator(G, eigen).method == "expm"
+        else:
+            assert np.linalg.norm(G @ evecs - evecs * evals) <= 1e-12 * np.linalg.norm(G)
+            assert np.allclose(np.linalg.norm(evecs, axis=0), 1.0, rtol=1e-14)
         # The same spectrum as the generic decomposition, pole for pole.
         generic = np.linalg.eigvals(G)
         gaps = np.abs(evals[:, None] - generic[None, :]).min(axis=1)
@@ -385,6 +393,27 @@ class TestAbstractClaim:
     def test_weak_drive_value_bounds_g2_zero(self, log_rabi, width):
         g2 = SensorPipeline(EmitterParams(gamma=1.0, rabi=10.0**log_rabi), width).g2_zero()
         assert g2 >= (1.0 / (1.0 + width)) ** 2 * (1.0 - 1e-12)
+
+
+class TestBroadFilterLimit:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma=st.floats(0.1, 10.0),
+        log_rabi=st.floats(-3.0, 1.5),
+        detuning=st.floats(-3.0, 3.0),
+        log_width=st.floats(1.0, 4.0),
+    )
+    @example(gamma=1.0, log_rabi=np.log10(0.075), detuning=3.0, log_width=1.0)
+    def test_broad_filter_gives_the_unfiltered_g2(self, gamma, log_rabi, detuning, log_width):
+        # A filter much wider than every emitter rate, B = gamma + rabi +
+        # |detuning|, passes the field unchanged: g2 departs from the bare
+        # emitter's by at most B / width (0.45 B / width at the example).
+        em = EmitterParams(gamma=gamma, rabi=10.0**log_rabi * gamma, detuning=detuning * gamma)
+        rates = em.gamma + em.rabi + abs(em.detuning)
+        width = 10.0**log_width * rates
+        taus = default_tau_grid(em)
+        gap = np.max(np.abs(filtered_g2(em, width, taus=taus).values - unfiltered_g2(em, taus).values))
+        assert gap <= rates / width
 
 
 class TestMirrorSymmetry:
@@ -515,29 +544,31 @@ class TestBackgroundCalibration:
 
 class TestSweep:
     def test_single_point_matches_filtered_g2(self):
-        rows = sweep_g2_zero(WEAK, "filter_width", [0.29])
+        row = sweep_point(WEAK, "filter_width", 0.29)
         direct = filtered_g2(WEAK, 0.29, taus=np.array([0.0])).values[0]
-        assert rows[0]["g2_ideal"] == pytest.approx(direct, abs=1e-12)
-        assert rows[0]["g2_lo"] == rows[0]["g2_ideal"]
+        assert row["x"] == 0.29
+        assert row["g2_ideal"] == pytest.approx(direct, abs=1e-12)
+        assert row["g2_lo"] == row["g2_hi"] == row["g2_ideal"]
 
     def test_weak_drive_shape(self):
-        widths = [150.0, 1.0, 0.01]
-        rows = sweep_g2_zero(WEAK, "filter_width", widths)
-        vals = [r["g2_ideal"] for r in rows]
+        vals = [sweep_point(WEAK, "filter_width", x)["g2_ideal"] for x in (150.0, 1.0, 0.01)]
         assert vals[0] < 0.02
         assert 0.9 < vals[2] < 1.1
         assert vals[0] < vals[1] < vals[2]
 
     def test_rabi_axis_crosses_unity(self):
-        rows = sweep_g2_zero(STRONG, "rabi", [0.5, 4.0], filter_width=0.29)
+        rows = [sweep_point(STRONG, "rabi", x, 0.29) for x in (0.5, 4.0)]
         assert rows[0]["g2_ideal"] < 1.0 < rows[1]["g2_ideal"]
+
+    def test_rabi_axis_is_the_width_axis_at_that_drive(self):
+        irf = GaussianIRF(fwhm=1.14)
+        row = sweep_point(STRONG, "rabi", 0.5, 0.29, 0.3, 0.05, 0.2, irf)
+        same = sweep_point(replace(STRONG, rabi=0.5), "filter_width", 0.29, None, 0.3, 0.05, 0.2, irf)
+        assert row == {**same, "x": 0.5}
 
     def test_background_band_with_irf(self):
         irf = GaussianIRF(fwhm=1.14)
-        rows = sweep_g2_zero(
-            STRONG, "filter_width", [0.29], beta_bounds=(0.0, 0.2), irf=irf
-        )
-        row = rows[0]
+        row = sweep_point(STRONG, "filter_width", 0.29, beta_hi=0.2, irf=irf)
         assert row["g2_hi"] > row["g2_lo"]
         assert row["g2_ideal"] > 1.0
 
@@ -640,11 +671,9 @@ class TestSweep:
             sweep_point(WEAK, "bogus", 2.0, 0.29, 0.0, 0.0, 0.0, None)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            sweep_g2_zero(WEAK, "bogus", [1.0])
-        with pytest.raises(ValueError):
-            sweep_g2_zero(WEAK, "filter_width", [])
-        with pytest.raises(ValueError):
-            sweep_g2_zero(WEAK, "filter_width", [-1.0])
-        with pytest.raises(ValueError):
-            sweep_g2_zero(WEAK, "rabi", [1.0])  # missing filter_width
+        with pytest.raises(ValueError, match="filter width must be finite and > 0"):
+            sweep_point(WEAK, "filter_width", -1.0)
+        with pytest.raises(ValueError, match="filter_width is required"):
+            sweep_point(WEAK, "rabi", 1.0)
+        with pytest.raises(ValueError, match="beta bounds out of order"):
+            sweep_point(WEAK, "filter_width", 0.29, beta_lo=0.2, beta_hi=0.1)
