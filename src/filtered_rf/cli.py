@@ -18,6 +18,7 @@ import copy
 import json
 import math
 import sys
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -471,11 +472,10 @@ def main(argv=None):
             raise ConfigError("a subcommand is required (see --help)")
         command = COMMANDS[args.subcommand][0]
         config = resolve_config(args)
-        return command(config)
-    except ConfigError as exc:
-        print(f"filtered-rf: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        with warnings.catch_warnings():  # library warnings, one line each
+            warnings.showwarning = lambda message, *_: print(f"filtered-rf: warning: {message}", file=sys.stderr)
+            return command(config)
+    except (ConfigError, ValueError) as exc:
         print(f"filtered-rf: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver failures and the like

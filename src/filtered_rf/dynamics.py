@@ -32,6 +32,9 @@ CLIP_TOL = 1e-8
 
 DEFAULT_TAU_POINTS = 2001
 
+SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
+SIGMA.flags.writeable = False
+
 
 @dataclass
 class SteadyState:
@@ -120,8 +123,7 @@ def emitter_state(emitter):
     rho = np.array([[1.0 - excited, coherence.conjugate()], [coherence, excited]])
     qmath._check_residual(L, qmath.vec(rho), np.linalg.norm(L))
     fraction = 1.0 / (1.0 + emitter.rabi**2 / 2.0 / undriven)
-    sigma = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return EmitterState(sigma=sigma, liouvillian=L, rho=rho, coherent_fraction=fraction)
+    return EmitterState(sigma=SIGMA.copy(), liouvillian=L, rho=rho, coherent_fraction=fraction)
 
 
 def _require_emission(population, what):

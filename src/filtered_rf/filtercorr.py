@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qmath
 from .dynamics import DEFAULT_TAU_POINTS, _check_taus, _default_span, _regress, _require_emission
-from .dynamics import default_tau_grid, emitter_state
+from .dynamics import SIGMA, default_tau_grid, emitter_state
 from .system import SensorConfig, SystemModel, build_liouvillian
 
 __all__ = [
@@ -105,15 +105,17 @@ def _real_part(g2, context):
     return g2.real.copy()
 
 
-# Sensor states (n1, n2) and the states one excitation below each.  Every
-# (ket, bra) pair of them above the ground pair is one emitter operator;
-# the pairs are grouped by excitation counts (|a|, |c|), which fix kappa,
-# in order of total excitation, so that a group's sources come first.
-_BELOW = {(0, 0): [], (1, 0): [(0, 0)], (0, 1): [(0, 0)], (1, 1): [(0, 1), (1, 0)]}
-_GROUPS = [
-    (counts, [(a, c) for a in _BELOW for c in _BELOW if (sum(a), sum(c)) == counts])
-    for counts in sorted(((i, j) for i in range(3) for j in range(3)), key=sum)[1:]
-]
+# X_{p,q} but the steady state, by total excitation: sources come first.
+_LEVELS = sorted(((p, q) for p in range(3) for q in range(3)), key=sum)[1:]
+_KET_COUNTS, _BRA_COUNTS = np.array(_LEVELS).T
+# An excitation raised on the ket, sigma rho, and on the bra, rho sigma^dag.
+_SPRE_SIGMA = qmath.spre(SIGMA)
+_SPOST_SIGMA_DAG = qmath.spost(SIGMA.conj().T)
+_EYE = np.eye(4)
+# Row 2 i + j of the jump basis, i and j the jump sensor's ket and bra,
+# holds (Y00, Y10, Y01, Y11) with Y[s, s'] = X_{i+s, j+s'} in block 2 s' + s.
+_HIGH, _LOW = np.divmod(np.arange(4), 2)
+_JUMP_COUNTS = (_HIGH[:, None] + _LOW, _LOW[:, None] + _HIGH)
 # The row that takes the trace of a vectorized 2x2 operator, and the four
 # rows that take it of each block of the trace generator's state.
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
@@ -124,26 +126,25 @@ class SensorPipeline:
     """Two identical sensors in the exact vanishing-coupling limit.
 
     There each sensor is a linear filter of the field sigma + b, and the
-    two-sensor state reduces to emitter operators X[a, c], one per sensor
-    ket excitation a = (a1, a2) and bra excitation c = (c1, c2), in units of
-    (eta/m)^(|a| + |c|) with m = |k|, k = width/2 + i center the filter's
-    response rate.  The hierarchy is solved once, at b = 0: X[00, 00] is the
-    emitter's closed-form steady state (:func:`emitter_state`), and every
-    other component solves, from the ones one excitation lower,
+    two-sensor state reduces to emitter operators, one per count p of
+    sensor excitations on the ket and q on the bra, in units of
+    (eta/m)^(p + q) with m = |k|, k = width/2 + i center the filter's
+    response rate: both sensors filter the same field alike, so which sensor
+    holds an excitation does not matter.  The hierarchy is solved once, at
+    b = 0: X_{0,0} is the emitter's closed-form steady state
+    (:func:`emitter_state`), and each of the other eight, p, q <= 2, solves
 
-        (kappa - L_e) X[a, c] = -i m sigma X[a - e_j, c] + i m X[a, c - e_j] sigma^dag,
+        (p k + q conj(k) - L_e) X_{p,q} = -i m p sigma X_{p-1,q} + i m q X_{p,q-1} sigma^dag,
 
-    summed over the sensors j excited in a and in c respectively, with
-    kappa = |a| k + |c| conj(k).  Re kappa > 0, so every solve is regular,
-    exceptional points included.
+    one term per excited sensor.  Re(p k + q conj(k)) > 0, so every solve is
+    regular, exceptional points included; X_{q,p} = X_{p,q}^dag to rounding.
 
     The constant b only shifts each sensor amplitude by the c-number
-    beta = -i m b / k, |beta| = b, so the components at b are binomial sums
-    of those at b = 0: X_b[a, c] sums beta^(|a| - |a'|) conj(beta)^(|c| - |c'|)
-    X[a', c'] over a' <= a and c' <= c, entry by entry.  Sensor populations
-    are tr X_b[10, 10] and tr X_b[01, 01] in units of (eta/m)^2, the
-    coincidence tr X_b[11, 11] in (eta/m)^4.  ``emitter_coherence`` is the
-    emitter's steady <sigma>.
+    beta = -i m b / k, |beta| = b, so the operators at b are binomial sums
+    of those at b = 0: each sensor population, in units of (eta/m)^2, is
+    sum_{p,q} w_p conj(w_q) tr X_{p,q} with w = (beta, 1, 0), and the
+    coincidence, in (eta/m)^4, takes w = (beta^2, 2 beta, 1).
+    ``emitter_coherence`` is the emitter's steady <sigma>.
     """
 
     def __init__(self, emitter, filter_width, filter_center=0.0, *, background_b=0.0):
@@ -155,46 +156,42 @@ class SensorPipeline:
         self.filter_width = filter_width
         self.filter_center = filter_center
 
-        sigma, L, rho, _ = emitter_state(emitter)
+        _, L, rho, _ = emitter_state(emitter)
         self.emitter_coherence = complex(rho[1, 0])
 
         k = 0.5 * filter_width + 1j * filter_center
         m = abs(k)
-        emit = -1j * m * qmath.spre(sigma)
-        absorb = 1j * m * qmath.spost(sigma.conj().T)
-        eye = np.eye(4)
-        x = {((0, 0), (0, 0)): qmath.vec(rho)}
-        for (n_ket, n_bra), pairs in _GROUPS:
-            sources = np.zeros((4, len(pairs)), dtype=complex)
-            for i, (a, c) in enumerate(pairs):
-                for low in _BELOW[a]:
-                    sources[:, i] += emit @ x[low, c]
-                for low in _BELOW[c]:
-                    sources[:, i] += absorb @ x[a, low]
-            kappa = n_ket * k + n_bra * k.conjugate()
-            x.update(zip(pairs, np.linalg.solve(kappa * eye - L, sources).T))
+        emit = -1j * m * _SPRE_SIGMA
+        absorb = 1j * m * _SPOST_SIGMA_DAG
+        x = np.empty((3, 3, 4), dtype=complex)
+        x[0, 0] = qmath.vec(rho)
+        kappas = _KET_COUNTS * k + _BRA_COUNTS * k.conjugate()
+        for (p, q), matrix in zip(_LEVELS, kappas[:, None, None] * _EYE - L):
+            # p equal ket terms sum exactly to p times one; the bra terms are
+            # added one by one, in the rounding of the sum over sensors.
+            source = p * (emit @ x[p - 1, q]) if p else 0.0
+            if q:
+                bra = absorb @ x[p, q - 1]
+                source = source + bra if q == 1 else source + bra + bra
+            x[p, q] = np.linalg.solve(matrix, source)
 
-        # X[a, c] at index [a1, a2, c1, c2]; its traces over (a1 a2, c1 c2).
-        self._components = np.empty((2, 2, 2, 2, 4), dtype=complex)
-        for (a, c), component in x.items():
-            self._components[a + c] = component
-        self._traces = (self._components @ _TRACE_ROW).reshape(4, 4)
+        self._components = x  # X_{p,q} at index [p, q]
+        self._traces = x @ _TRACE_ROW
         self._rate = k
-        # The 16x16 trace generator is built on the first trace; every
-        # pipeline displaced from this one shares the slot of its propagator
-        # and its probe and jump bases.
-        self._blocks = (L, emit, absorb)
+        # The trace propagator and bases are built on the first trace; every
+        # pipeline displaced from this one shares the slot that holds them.
+        self._blocks = (L, emit, absorb, k)
         self._trace = [None, None]
         self._displace(background_b)
 
     def _displace(self, background_b):
         self.background_b = float(background_b)
         beta = self._beta = -1j * abs(self._rate) * self.background_b / self._rate
-        # Ket weights over a' = 00, 01, 10, 11 in X_b[10, .], X_b[01, .] and
+        # Ket weights over the counts p = 0, 1, 2 of X_b[10, .] and of
         # X_b[11, .]; the bra weights are their conjugates.
-        weights = np.array([[beta, 0, 1, 0], [beta, 1, 0, 0], [beta * beta, beta, beta, 1]])
-        n1, n2, coincidence = ((weights @ self._traces) * weights.conj()).sum(axis=1).real
-        self.scaled_populations = (float(n1), float(n2))
+        weights = np.array([[beta, 1.0, 0.0], [beta * beta, 2.0 * beta, 1.0]])
+        population, coincidence = ((weights @ self._traces) * weights.conj()).sum(axis=1).real
+        self.scaled_populations = (float(population), float(population))
         self._coincidence = float(coincidence)
 
     def _displaced(self, background_b):
@@ -243,10 +240,8 @@ class SensorPipeline:
         path the bases are carried into the eigenbasis, probes @ V and
         jumps @ V^-T, so V^-1 is applied to them once per propagator."""
         if self._trace[0] is None:
-            L, emit, absorb = self._blocks
-            propagator = qmath.Propagator(self._generator(), _trace_eigen(L, emit, absorb, self._rate))
-            # (Y00, Y10, Y01, Y11), Y[s, s'] at index 2 s' + s, from X[i s, k s'].
-            jumps = np.einsum("iskrt->ikrst", self._components).reshape(4, 16)
+            propagator = qmath.Propagator(_trace_generator(*self._blocks), _trace_eigen(*self._blocks))
+            jumps = self._components[_JUMP_COUNTS].reshape(4, 16)
             probes = _BLOCK_TRACES
             if propagator.method == "eig":
                 probes = probes @ propagator.eigenvectors
@@ -254,26 +249,25 @@ class SensorPipeline:
             self._trace[:] = propagator, (probes, jumps)
         return self._trace
 
-    def _generator(self):
-        """The b = 0 generator over (Y00, Y10, Y01, Y11), driven as in the
-        hierarchy, with the probe sensor's kappa."""
-        L, emit, absorb = self._blocks
-        k = self._rate
-        eye = np.eye(4)
-        blocks = {
-            (0, 0): L,
-            (1, 0): emit,
-            (1, 1): L - k * eye,
-            (2, 0): absorb,
-            (2, 2): L - k.conjugate() * eye,
-            (3, 1): absorb,
-            (3, 2): emit,
-            (3, 3): L - 2.0 * k.real * eye,
-        }
-        generator = np.zeros((16, 16), dtype=complex)
-        for (i, j), block in blocks.items():
-            generator[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = block
-        return generator
+
+def _block_triangular(diagonal, ket, bra, corner=0.0):
+    """A 16x16 matrix over (Y00, Y10, Y01, Y11) in the trace generator's
+    pattern: four diagonal blocks, ``ket`` at blocks (1, 0) and (3, 2),
+    ``bra`` at (2, 0) and (3, 1) and ``corner`` at (3, 0)."""
+    out = np.zeros((4, 4, 4, 4), dtype=complex)
+    for i, block in enumerate(diagonal):
+        out[i, :, i] = block
+    out[1, :, 0] = out[3, :, 2] = ket
+    out[2, :, 0] = out[3, :, 1] = bra
+    out[3, :, 0] = corner
+    return out.reshape(16, 16)
+
+
+def _trace_generator(L, emit, absorb, k):
+    """The b = 0 trace generator: L_e less the probe sensor's kappa in each
+    diagonal block, driven as in the hierarchy."""
+    shifts = (0.0, k, k.conjugate(), 2.0 * k.real)
+    return _block_triangular([L - s * _EYE for s in shifts], emit, absorb)
 
 
 def _trace_eigen(L, emit, absorb, k):
@@ -292,8 +286,7 @@ def _trace_eigen(L, emit, absorb, k):
     eigenvectors, which :class:`qmath.Propagator` reads as condition inf.
     """
     lam, V = np.linalg.eig(L)
-    shifts = (0.0, k, k.conjugate(), 2.0 * k.real)
-    evals = np.concatenate([lam - s for s in shifts])
+    evals = np.concatenate([lam - s for s in (0.0, k, k.conjugate(), 2.0 * k.real)])
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
             inverse = np.linalg.inv(V)
@@ -304,12 +297,7 @@ def _trace_eigen(L, emit, absorb, k):
         Wk = E / (gaps + k)
         Wkbar = A / (gaps + k.conjugate())
         W30 = (A @ Wk + E @ Wkbar) / (gaps + 2.0 * k.real)
-        evecs = np.zeros((16, 16), dtype=complex)
-        for j in range(4):
-            evecs[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = V
-        evecs[4:8, :4] = evecs[12:16, 8:12] = V @ Wk
-        evecs[8:12, :4] = evecs[12:16, 4:8] = V @ Wkbar
-        evecs[12:16, :4] = V @ W30
+        evecs = _block_triangular([V] * 4, V @ Wk, V @ Wkbar, V @ W30)
         evecs /= np.linalg.norm(evecs, axis=0)
     return evals, evecs
 
@@ -337,7 +325,7 @@ def _g2_grid(pipelines, taus):
             probe @ propagator.apply_grid(jumped, taus) / norm
             for probe, jumped, norm in zip(left, right, norms)
         ]
-    return [_real_part(row, "filtered g2") for row in rows]
+    return _real_part(rows, "filtered g2")
 
 
 class TwoSensorModel:
@@ -549,8 +537,8 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
         raise ValueError(f"filter width must be > 0, got {filter_width}")
     if filter_width < NARROW_WIDTH_WARN * emitter.gamma:
         warnings.warn(
-            f"filter width {filter_width:.3e} is below 1e-4 gamma; make sure the "
-            "tau grid resolves the filter response",
+            f"filter width {filter_width / emitter.gamma:.3g} gamma is below 1e-4 gamma; "
+            "make sure the tau grid resolves the filter response",
             stacklevel=2,
         )
     if taus is None:

@@ -433,6 +433,14 @@ class TestConfigHandling:
         assert main(["not-a-command"]) == 1
         assert main([]) == 1
 
+    def test_narrow_filter_warning_is_one_line(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "g2-trace", "--filter-width", "5e-5", "--filter-center", "1", "--n-tau", "11")
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "filtered-rf: warning: filter width 5e-05 gamma is below 1e-4 gamma; "
+            "make sure the tau grid resolves the filter response\n"
+        )
+
 
 def readme_commands():
     """Arguments of each `filtered-rf` line in the README's command-line

@@ -1,4 +1,5 @@
 import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -162,8 +163,10 @@ class TestFilteredG2:
         assert pipe.n1_pop == pytest.approx(pops[0], rel=1e-9)
 
     def test_warns_on_extremely_narrow_filter(self):
-        with pytest.warns(UserWarning, match="tau grid"):
-            filtered_g2(WEAK, 5e-5, taus=np.array([0.0]))
+        # The width is stated over gamma, whatever the rate units.
+        slow = EmitterParams(gamma=0.25, rabi=0.125)
+        with pytest.warns(UserWarning, match=r"filter width 5e-05 gamma is below 1e-4 gamma; .*tau grid"):
+            filtered_g2(slow, 5e-5 * slow.gamma, taus=np.array([0.0]))
 
     def test_metadata_records_parameters(self):
         tr = filtered_g2(WEAK, 2.0, taus=np.array([0.0]))
@@ -238,7 +241,8 @@ class TestVanishingCouplingLimit:
         pipe = SensorPipeline(em, width, center, background_b=b)
         ref = TwoSensorModel(em, width, center, 0.0, b)
         assert pipe.g2_zero() == pytest.approx(ref.g2_zero(), rel=1e-12)
-        # Both populations: the two sensors are solved separately on both sides.
+        # Both populations: the reference solves for each sensor apart, the
+        # pipeline gives both from the one count-indexed hierarchy.
         assert pipe.scaled_populations == pytest.approx(ref.scaled_populations, rel=1e-12)
         # <sigma> of the reference: its zero-sensor block, the only one that
         # weighs in the trace at eta = 0.  |2 Re<sigma>| <= 1, so the floor
@@ -248,6 +252,53 @@ class TestVanishingCouplingLimit:
         assert 2.0 * pipe.emitter_coherence.real == pytest.approx(
             2.0 * coherence.real, rel=1e-12, abs=1e-12
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rabi=st.floats(0.05, 20.0),
+        detuning=st.floats(-2.0, 2.0),
+        width=st.floats(0.05, 300.0),
+        center=st.floats(-3.0, 3.0),
+        b=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @example(rabi=0.25, detuning=0.0, width=1.0, center=0.0, b=0.3)
+    @example(rabi=2.0, detuning=0.0, width=0.05, center=2.0, b=1.0)
+    def test_sensor_exchange(self, rabi, detuning, width, center, b):
+        # At eta = 0 the two sensors are one filter of one field, which is
+        # what lets the pipeline index its hierarchy by excitation counts.
+        # The 64-dim reference keeps the sensors apart, so it must show the
+        # symmetry itself: equal populations, and the same trace with the
+        # jump and probe sensors exchanged; the pipeline's trace is that
+        # trace.  Below a width of about 0.05 a detuned filter leaves the
+        # reference's eigenbasis at conditions near 1e6, where its traces
+        # lose digits; the fixed narrow points above cover that region.
+        em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
+        ref = TwoSensorModel(em, width, center, 0.0, b)
+        n1, n2 = ref.scaled_populations
+        assert n1 == pytest.approx(n2, rel=1e-12)
+        taus = np.linspace(0.0, default_tau_grid(em, (width,))[-1], 41)
+        forward = ref.g2_values(taus, jump_sensor=0, probe_sensor=1)
+        swapped = ref.g2_values(taus, jump_sensor=1, probe_sensor=0)
+        scale = np.maximum(1.0, np.abs(forward))
+        assert np.max(np.abs(swapped - forward) / scale) < 1e-10
+        got = SensorPipeline(em, width, center, background_b=b).g2_values(taus)
+        assert np.max(np.abs(got - forward) / scale) < 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rabi=st.floats(0.05, 20.0),
+        detuning=st.floats(-2.0, 2.0),
+        width=st.floats(0.01, 300.0),
+        center=st.floats(-3.0, 3.0),
+    )
+    def test_components_pair_as_adjoints(self, rabi, detuning, width, center):
+        # The bra side of the hierarchy is the adjoint of the ket side, so
+        # X_{q,p} = X_{p,q}^dag, to 1e-10 of each component's largest entry.
+        em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
+        x = SensorPipeline(em, width, center)._components
+        ops = x.reshape(3, 3, 2, 2).swapaxes(-1, -2)  # undo the column stacking
+        gap = np.abs(ops.swapaxes(0, 1) - ops.conj().swapaxes(-1, -2)).max(axis=(-1, -2))
+        assert np.all(gap <= 1e-10 * np.abs(ops).max(axis=(-1, -2)))
 
     @pytest.mark.parametrize(
         "rabi, width, center, b",
@@ -333,8 +384,8 @@ class TestTraceEigendecomposition:
         # 16x16 trace generator, with unit columns as numpy.linalg.eig gives.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning, laser_linewidth=linewidth)
         pipe = SensorPipeline(em, width, center)
-        G = pipe._generator()
-        eigen = evals, evecs = filtercorr._trace_eigen(*pipe._blocks, pipe._rate)
+        G = filtercorr._trace_generator(*pipe._blocks)
+        eigen = evals, evecs = filtercorr._trace_eigen(*pipe._blocks)
         if rabi == 0.25 and abs(detuning) < 1e-8:
             # The Mollow threshold (a detuning below 1e-8 is zero to this
             # precision): L_e is defective, so no eigenbasis exists, and the
@@ -605,6 +656,23 @@ class TestSweep:
         try:
             sweep_point(STRONG, "filter_width", 0.29, None, 0.0, 0.0, 0.2, irf)
             assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("rabi, width, method", [(0.5, 0.29, "eig"), (0.25, 1.0, "expm")])
+    def test_pipeline_is_freed_without_the_cyclic_collector(self, rabi, width, method):
+        # The propagator holds the generator's arrays, not the pipeline, so
+        # a pipeline and its propagator go as soon as the last reference
+        # does, on both paths.
+        gc.collect()
+        gc.disable()
+        try:
+            pipe = SensorPipeline(EmitterParams(gamma=1.0, rabi=rabi), width)
+            pipe.g2_values(np.linspace(0.0, 5.0, 11))
+            assert pipe.propagator.method == method
+            refs = weakref.ref(pipe), weakref.ref(pipe.propagator)
+            del pipe
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
