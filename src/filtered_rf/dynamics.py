@@ -154,8 +154,8 @@ def two_time_correlator(liouvillian, left, right, probe, taus):
 def _regress(liouvillian, x0, probe, taus):
     """tr[probe exp(L tau) x0] on an ascending tau grid."""
     taus = _check_taus(taus)
-    evolved = qmath.Propagator(liouvillian).apply_grid(qmath.vec(x0), taus)
-    return qmath.vec(np.asarray(probe, dtype=complex).T) @ evolved
+    probe = qmath.vec(np.asarray(probe, dtype=complex).T)
+    return qmath.Propagator(liouvillian).correlate([probe], [qmath.vec(x0)], taus)[0]
 
 
 def first_order_coherence(params, taus):

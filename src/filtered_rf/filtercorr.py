@@ -24,6 +24,7 @@ import numpy as np
 from . import qmath
 from .dynamics import DEFAULT_TAU_POINTS, _check_taus, _default_span, _regress, _require_emission
 from .dynamics import SIGMA, default_tau_grid, emitter_state
+from .instrument import _kernel
 from .system import SensorConfig, SystemModel, build_liouvillian
 
 __all__ = [
@@ -143,11 +144,12 @@ class SensorPipeline:
     beta = -i m b / k, |beta| = b, so the operators at b are binomial sums
     of those at b = 0: each sensor population, in units of (eta/m)^2, is
     sum_{p,q} w_p conj(w_q) tr X_{p,q} with w = (beta, 1, 0), and the
-    coincidence, in (eta/m)^4, takes w = (beta^2, 2 beta, 1).
+    coincidence, in (eta/m)^4, takes w = (beta^2, 2 beta, 1).  A new
+    pipeline is at b = 0; :func:`calibrate_background` displaces it.
     ``emitter_coherence`` is the emitter's steady <sigma>.
     """
 
-    def __init__(self, emitter, filter_width, filter_center=0.0, *, background_b=0.0):
+    def __init__(self, emitter, filter_width, filter_center=0.0):
         if not 0.0 < filter_width < math.inf:
             raise ValueError(f"filter width must be finite and > 0, got {filter_width}")
         if not math.isfinite(filter_center):
@@ -178,11 +180,11 @@ class SensorPipeline:
         self._components = x  # X_{p,q} at index [p, q]
         self._traces = x @ _TRACE_ROW
         self._rate = k
-        # The trace propagator and bases are built on the first trace; every
-        # pipeline displaced from this one shares the slot that holds them.
+        # The trace propagator is built on the first trace; every pipeline
+        # displaced from this one shares the slot that holds it.
         self._blocks = (L, emit, absorb, k)
-        self._trace = [None, None]
-        self._displace(background_b)
+        self._trace = [None]
+        self._displace(0.0)
 
     def _displace(self, background_b):
         self.background_b = float(background_b)
@@ -224,30 +226,19 @@ class SensorPipeline:
         one at b = 0 and D the displacement of sensor 2, so Y is evolved by G
         from D^-1 Y(0), which displaces sensor 1 only, and D is applied in
         the probe: tr Y[1, 1] + beta tr Y[0, 1] + conj(beta) tr Y[1, 0]
-        + |beta|^2 tr Y[0, 0].  Both are quadratic in beta over four b = 0
-        basis vectors; see :func:`_g2_grid`.
+        + |beta|^2 tr Y[0, 0].  Both are quadratic in beta: the jumped state
+        and the probe weigh four b = 0 rows each; see :func:`_g2_grid`.
         """
         taus = _check_taus(taus)
         if np.all(taus == 0.0):
             return np.full(taus.shape, self.g2_zero())
         return _g2_grid([self], taus)[0]
 
-    def _bases(self):
-        """The trace propagator and the probe and jump bases, four rows each.
-
-        A pipeline at b probes with conj(w) @ probes and jumps from
-        w @ jumps, w its shift weights (see :func:`_g2_grid`).  On the eig
-        path the bases are carried into the eigenbasis, probes @ V and
-        jumps @ V^-T, so V^-1 is applied to them once per propagator."""
+    def _trace_propagator(self):
+        """The trace propagator, built on the first call."""
         if self._trace[0] is None:
-            propagator = qmath.Propagator(_trace_generator(*self._blocks), _trace_eigen(*self._blocks))
-            jumps = self._components[_JUMP_COUNTS].reshape(4, 16)
-            probes = _BLOCK_TRACES
-            if propagator.method == "eig":
-                probes = probes @ propagator.eigenvectors
-                jumps = jumps @ propagator.inverse.T
-            self._trace[:] = propagator, (probes, jumps)
-        return self._trace
+            self._trace[0] = qmath.Propagator(_trace_generator(*self._blocks), _trace_eigen(*self._blocks))
+        return self._trace[0]
 
 
 def _block_triangular(diagonal, ket, bra, corner=0.0):
@@ -306,26 +297,18 @@ def _g2_grid(pipelines, taus):
     """Filtered g2 of pipelines displaced from one b = 0 solve, one row each
     on one tau grid (nonnegative, ascending).
 
-    With w a pipeline's shift weights and (probes, jumps) the shared bases,
-    the eig path gives every row as one pole sum sum_mu c_mu exp(lambda_mu tau),
-    c = (conj(w) @ probes) (w @ jumps) / (n1 n2) in the eigenbasis, over one
-    table of exp(lambda tau) for all rows.  The expm path propagates each
-    jumped state.
+    With w a pipeline's shift weights, a row is one read-out of the shared
+    trace propagator: the jumped state w @ jumps, jumps the four rows of the
+    b = 0 components, probed by conj(w) @ block traces, over n1 n2.
     """
-    propagator, (probes, jumps) = pipelines[0]._bases()
+    first = pipelines[0]
     # Weights of the jump basis, shift_i conj(shift_k) at 2 i + k with
     # shift = (beta, 1); the probe basis takes their conjugates.
     weights = np.array([[abs(p._beta) ** 2, p._beta, p._beta.conjugate(), 1.0] for p in pipelines])
     norms = np.array([p._normalization() for p in pipelines])
-    left, right = weights.conj() @ probes, weights @ jumps
-    if propagator.method == "eig":
-        rows = propagator.pole_sum(left * right / norms[:, None], taus)
-    else:
-        rows = [
-            probe @ propagator.apply_grid(jumped, taus) / norm
-            for probe, jumped, norm in zip(left, right, norms)
-        ]
-    return _real_part(rows, "filtered g2")
+    jumps = first._components[_JUMP_COUNTS].reshape(4, 16)
+    rows = first._trace_propagator().correlate(weights.conj() @ _BLOCK_TRACES, weights @ jumps, taus)
+    return _real_part(rows / norms[:, None], "filtered g2")
 
 
 class TwoSensorModel:
@@ -412,12 +395,9 @@ class TwoSensorModel:
         x0 = lower @ self.rho_scaled @ lower.conj().T
         if self._propagator is None:
             self._propagator = qmath.Propagator(self.scaled_liouvillian)
-        evolved = self._propagator.apply_grid(qmath.vec(x0), taus)
-
-        d = self.model.dim
-        diag_rows = np.arange(d) * (d + 1)
         weights = np.where(self._sensor_masks[probe_sensor], self._excess_weight, 0.0)
-        numerator = weights @ evolved[diag_rows, :]
+        probe = qmath.vec(np.diag(weights))
+        numerator = self._propagator.correlate([probe], [qmath.vec(x0)], taus)[0]
         pops = self.scaled_populations
         return _real_part(numerator / (pops[jump_sensor] * pops[probe_sensor]), "filtered g2")
 
@@ -572,8 +552,6 @@ def _g2_zero_convolved(pipelines, irf):
     of the detector kernel centred on tau = 0 over the even extension of each
     g2, sampled at the delay spacing that a full trace at this point would
     use.  The kernel grid is built once, for every pipeline."""
-    from .instrument import _kernel  # deferred: instrument imports CorrelationTrace
-
     first = pipelines[0]
     span = max(_default_span(first.emitter, (first.filter_width,)), 8.0 * irf.fwhm)
     n = max(DEFAULT_TAU_POINTS, int(np.ceil(span / (irf.fwhm / 10.0))) + 1)

@@ -8,11 +8,9 @@ spectral filters used on the optical table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .filtercorr import CorrelationTrace
 
 __all__ = [
     "GaussianIRF",
@@ -139,7 +137,7 @@ def irf_convolve(trace, irf):
 
     metadata = dict(trace.metadata)
     metadata.update(irf_applied=True, irf_fwhm=irf.fwhm)
-    return CorrelationTrace(taus=trace.taus.copy(), values=out, metadata=metadata)
+    return replace(trace, taus=trace.taus.copy(), values=out, metadata=metadata)
 
 
 def spectral_irf_convolve(omegas, values, irf):
@@ -150,6 +148,6 @@ def spectral_irf_convolve(omegas, values, irf):
 
 def etalon_bandwidth(fsr, finesse):
     """Bandwidth of a scanning-cavity filter: free spectral range / finesse."""
-    if fsr <= 0.0 or finesse <= 0.0:
-        raise ValueError(f"fsr and finesse must be > 0, got {fsr}, {finesse}")
+    if not (0.0 < fsr < math.inf and 0.0 < finesse < math.inf):
+        raise ValueError(f"fsr and finesse must be finite and > 0, got {fsr}, {finesse}")
     return fsr / finesse

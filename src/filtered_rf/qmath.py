@@ -5,6 +5,9 @@ matrix, so the sandwich map rho -> A rho B turns into the matrix
 ``B^T (x) A`` acting on ``vec(rho)``.  Everything here is plain
 ``numpy.ndarray`` arithmetic; the physical problem never exceeds a
 Hilbert dimension of 8, so dense factorizations are essentially free.
+Every two-time correlation is read out as probe . exp(L tau) . state by
+:meth:`Propagator.correlate`, through the eigenbasis or by
+scaling-and-squaring as the propagator decides; callers never branch on it.
 """
 
 from __future__ import annotations
@@ -113,7 +116,9 @@ class Propagator:
     path is active and ``condition`` the condition number that the eig
     path runs at (inf on the expm path); ``eigenvalues``, ``eigenvectors``
     and ``inverse`` hold lambda, V and V^-1 on the eig path, None on the
-    expm path.
+    expm path.  :meth:`correlate` is the read-out of every trace,
+    probe . exp(L tau) . state, a pole sum on the eig path;
+    :meth:`apply_grid` returns the propagated state itself.
     """
 
     def __init__(self, generator, eigen=None):
@@ -140,10 +145,6 @@ class Propagator:
     def dim(self):
         return self.matrix.shape[0]
 
-    def apply(self, v, t):
-        """Return exp(L t) v for a single time."""
-        return self.apply_grid(v, [t])[:, 0]
-
     def apply_grid(self, v, taus):
         """Return exp(L tau) v for every tau, as a (dim, len(taus)) array."""
         v = np.asarray(v, dtype=complex).reshape(-1)
@@ -160,13 +161,27 @@ class Propagator:
             return self.eigenvectors @ (w[:, None] * phases)
         return self._apply_grid_expm(v, taus)
 
-    def pole_sum(self, weights, taus):
-        """sum_mu weights[..., mu] exp(lambda_mu tau) for every tau, one row
-        per row of weights (eig path only).
+    def correlate(self, probes, states, taus):
+        """probes[i] . exp(L tau) states[i] for every tau, one row per pair.
 
-        The poles are added one after another, elementwise, so the result
-        does not depend on how a BLAS library would split a product.
+        On the eig path row i is the pole sum sum_mu c_mu exp(lambda_mu tau),
+        c = (probes V)[i] (states V^-T)[i]; the poles are added one after
+        another, elementwise, so the result does not depend on how a BLAS
+        library would split a product.  The expm path propagates each state.
         """
+        probes = np.asarray(probes, dtype=complex)
+        states = np.asarray(states, dtype=complex)
+        if probes.ndim != 2 or probes.shape != states.shape or probes.shape[1] != self.dim:
+            raise ValueError(
+                f"probes {probes.shape} and states {states.shape} must both be (n, {self.dim})"
+            )
+        taus = np.asarray(taus, dtype=float).reshape(-1)
+        for name, a in (("probes", probes), ("states", states), ("times", taus)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} contain non-finite entries")
+        if self.method != "eig":
+            return np.array([p @ self.apply_grid(s, taus) for p, s in zip(probes, states)])
+        weights = (probes @ self.eigenvectors) * (states @ self.inverse.T)
         phases = np.exp(np.multiply.outer(self.eigenvalues, taus))
         return (weights[..., None] * phases).sum(axis=-2)
 

@@ -124,8 +124,13 @@ def emission_spectrum(emitter, omegas):
     span at least +-max(5 gamma, 2 rabi + 5 gamma).
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
+    if omegas.size < 2 or not np.all(np.isfinite(omegas)):
+        raise ValueError(
+            f"omega grid must hold at least 2 points, all finite; got {omegas.size} points, "
+            f"{np.count_nonzero(~np.isfinite(omegas))} of them non-finite"
+        )
     need = max(5.0 * emitter.gamma, 2.0 * emitter.rabi + 5.0 * emitter.gamma)
-    if omegas.size < 2 or omegas.min() > -need or omegas.max() < need:
+    if omegas.min() > -need or omegas.max() < need:
         raise ValueError(
             f"grid too narrow: need at least +-{need:.3g}, got "
             f"[{omegas.min():.3g}, {omegas.max():.3g}]"
@@ -172,6 +177,11 @@ def _lorentzian(x, center, hwhm):
     return (hwhm / np.pi) / ((x - center) ** 2 + hwhm**2)
 
 
+def _check_filter_width(filter_fwhm):
+    if not 0.0 < filter_fwhm < math.inf:
+        raise ValueError(f"filter width must be finite and > 0, got {filter_fwhm}")
+
+
 def lorentzian_transmission(line_fwhm, filter_fwhm, offset=0.0):
     """Transmitted fraction of a Lorentzian line through a Lorentzian filter.
 
@@ -181,10 +191,11 @@ def lorentzian_transmission(line_fwhm, filter_fwhm, offset=0.0):
     form g (a + g) / (offset^2 + (a + g)^2) with half-widths a and g; at
     zero offset this is filter_fwhm / (filter_fwhm + line_fwhm).
     """
-    if line_fwhm < 0.0:
-        raise ValueError(f"line width must be >= 0, got {line_fwhm}")
-    if filter_fwhm <= 0.0:
-        raise ValueError(f"filter width must be > 0, got {filter_fwhm}")
+    if not 0.0 <= line_fwhm < math.inf:
+        raise ValueError(f"line width must be finite and >= 0, got {line_fwhm}")
+    _check_filter_width(filter_fwhm)
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset}")
     g = filter_fwhm / 2.0
     a = line_fwhm / 2.0
     return g * (a + g) / (offset**2 + (a + g) ** 2)
@@ -199,8 +210,7 @@ def filtered_fractions(emitter, filter_fwhm):
     eigenvalue lambda) is (Gamma/2) Re[c / (Gamma/2 - lambda)], which
     reduces to weight x transmission for a real residue.
     """
-    if filter_fwhm <= 0.0:
-        raise ValueError(f"filter width must be > 0, got {filter_fwhm}")
+    _check_filter_width(filter_fwhm)
     elastic, total, poles = _pole_components(emitter)
     splitting = _sideband_splitting(emitter)
     g = filter_fwhm / 2.0

@@ -168,7 +168,7 @@ class TestTwoTimeCorrelator:
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         prop = qmath.Propagator(L)
         for t in (0.0, 0.7, 4.0):
-            evolved = qmath.unvec(prop.apply(qmath.vec(x), t))
+            evolved = qmath.unvec(prop.apply_grid(qmath.vec(x), [t])[:, 0])
             assert abs(np.trace(evolved) - np.trace(x)) < 1e-9
 
     def test_hermiticity_preserved(self):
@@ -176,8 +176,8 @@ class TestTwoTimeCorrelator:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         prop = qmath.Propagator(L)
-        a = qmath.unvec(prop.apply(qmath.vec(x.conj().T), 0.9))
-        b = qmath.unvec(prop.apply(qmath.vec(x), 0.9)).conj().T
+        a = qmath.unvec(prop.apply_grid(qmath.vec(x.conj().T), [0.9])[:, 0])
+        b = qmath.unvec(prop.apply_grid(qmath.vec(x), [0.9])[:, 0]).conj().T
         assert np.allclose(a, b, atol=1e-10)
 
     def test_rejects_descending_taus(self):

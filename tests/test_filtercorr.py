@@ -133,7 +133,7 @@ class TestFilteredG2:
             with pytest.raises(ValueError, match="no emission without drive"):
                 call()
         # The laser background alone is coherent light: g2 = 1 at every delay.
-        lit = SensorPipeline(dark, 0.29, background_b=0.5)
+        lit = SensorPipeline(dark, 0.29)._displaced(0.5)
         assert lit.g2_zero() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(lit.g2_values(taus) - 1.0)) < 1e-12
 
@@ -238,7 +238,7 @@ class TestVanishingCouplingLimit:
     )
     def test_emitter_space_matches_two_sensor_limit(self, rabi, detuning, width, center, b):
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
-        pipe = SensorPipeline(em, width, center, background_b=b)
+        pipe = SensorPipeline(em, width, center)._displaced(b)
         ref = TwoSensorModel(em, width, center, 0.0, b)
         assert pipe.g2_zero() == pytest.approx(ref.g2_zero(), rel=1e-12)
         # Both populations: the reference solves for each sensor apart, the
@@ -281,7 +281,7 @@ class TestVanishingCouplingLimit:
         swapped = ref.g2_values(taus, jump_sensor=1, probe_sensor=0)
         scale = np.maximum(1.0, np.abs(forward))
         assert np.max(np.abs(swapped - forward) / scale) < 1e-10
-        got = SensorPipeline(em, width, center, background_b=b).g2_values(taus)
+        got = SensorPipeline(em, width, center)._displaced(b).g2_values(taus)
         assert np.max(np.abs(got - forward) / scale) < 1e-8
 
     @settings(max_examples=100, deadline=None)
@@ -317,7 +317,7 @@ class TestVanishingCouplingLimit:
     def test_trace_matches_two_sensor_limit(self, rabi, width, center, b):
         em = EmitterParams(gamma=1.0, rabi=rabi)
         taus = default_tau_grid(em, (width,))
-        got = SensorPipeline(em, width, center, background_b=b).g2_values(taus)
+        got = SensorPipeline(em, width, center)._displaced(b).g2_values(taus)
         ref = TwoSensorModel(em, width, center, 0.0, b).g2_values(taus)
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-8
 
@@ -363,7 +363,7 @@ class TestVanishingCouplingLimit:
         # background takes the expm path.
         em = EmitterParams(gamma=1.0, rabi=rabi)
         taus = np.linspace(0.0, 20.0, 81)
-        limit = SensorPipeline(em, width, center, background_b=b).g2_values(taus)
+        limit = SensorPipeline(em, width, center)._displaced(b).g2_values(taus)
         finite = TwoSensorModel(em, width, center, default_eta(em, width), b).g2_values(taus)
         assert np.max(np.abs(limit - finite)) < 1e-5
 
@@ -517,7 +517,7 @@ class TestBackgroundCalibration:
     def test_rejects_pipeline_with_background_or_coupling(self):
         # The closed-form root holds for the b = 0 pipeline only.
         with pytest.raises(ValueError, match="b = 0"):
-            calibrate_background(SensorPipeline(STRONG, 0.29, background_b=0.5), 0.1)
+            calibrate_background(SensorPipeline(STRONG, 0.29)._displaced(0.5), 0.1)
 
     def test_forward_check_at_strong_drive(self):
         cal = calibrate_background(SensorPipeline(STRONG, 0.29), 0.2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from filtered_rf.filtercorr import CorrelationTrace, filtered_g2, unfiltered_g2
 from filtered_rf.instrument import (
@@ -54,10 +55,10 @@ class TestIrfConvolve:
         sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
         grid = np.linspace(-6.0 * sigma, 6.0 * sigma, 20001)
         kernel = np.exp(-0.5 * (grid / sigma) ** 2)
-        kernel /= np.trapezoid(kernel, grid)
+        kernel /= trapezoid(kernel, grid)
         for target in (0.0, 0.5, 2.0, 7.5):
             shifted = np.interp(np.abs(target - grid), taus, trace.values)
-            expected = np.trapezoid(kernel * shifted, grid)
+            expected = trapezoid(kernel * shifted, grid)
             got = out.values[np.argmin(np.abs(taus - target))]
             assert abs(got - expected) < 1e-4
 
@@ -68,8 +69,8 @@ class TestIrfConvolve:
         out = irf_convolve(trace, GaussianIRF(fwhm=1.14))
         # integrate g2 - 1 over the even extension; kernel normalization
         # keeps it fixed
-        a = np.trapezoid(trace.values - 1.0, taus)
-        b = np.trapezoid(out.values - 1.0, taus)
+        a = trapezoid(trace.values - 1.0, taus)
+        b = trapezoid(out.values - 1.0, taus)
         assert abs(a - b) < 1e-6 * max(1.0, abs(a))
 
     def test_linearity(self):
@@ -124,7 +125,7 @@ class TestSpectralIrf:
         values = (hwhm / np.pi) / (omegas**2 + hwhm**2)
         out = spectral_irf_convolve(omegas, values, GaussianIRF(fwhm=1.5))
         assert out.max() < values.max()
-        assert abs(np.trapezoid(out, omegas) - np.trapezoid(values, omegas)) < 1e-6
+        assert abs(trapezoid(out, omegas) - trapezoid(values, omegas)) < 1e-6
 
     def test_broadened_narrow_line_approaches_gaussian_width(self):
         omegas = np.linspace(-30.0, 30.0, 60001)
@@ -172,8 +173,10 @@ class TestEtalon:
         # a cavity whose FSR/finesse quotient matches the fused-silica etalon
         assert abs(etalon_bandwidth(638.0, 110.0) - 5.8) < 1e-12
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            etalon_bandwidth(0.0, 1.0)
-        with pytest.raises(ValueError):
-            etalon_bandwidth(1.0, -2.0)
+    @pytest.mark.parametrize(
+        "fsr, finesse",
+        [(0.0, 1.0), (1.0, -2.0), (np.nan, 2.0), (1.0, np.nan), (np.inf, 2.0), (1.0, np.inf)],
+    )
+    def test_rejects_nonpositive(self, fsr, finesse):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            etalon_bandwidth(fsr, finesse)

@@ -81,12 +81,12 @@ class TestExpmApply:
         rng = np.random.default_rng(5)
         L = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         v = rng.normal(size=9) + 1j * rng.normal(size=9)
-        assert np.allclose(qmath.Propagator(L).apply(v, 0.0), v, atol=1e-14)
+        assert np.allclose(qmath.Propagator(L).apply_grid(v, [0.0])[:, 0], v, atol=1e-14)
 
     def test_diagonal_generator(self):
         lam = np.array([-1.0, -0.5 + 2j, 0.0, -3j])
         v = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        got = qmath.Propagator(np.diag(lam)).apply(v, 0.7)
+        got = qmath.Propagator(np.diag(lam)).apply_grid(v, [0.7])[:, 0]
         assert np.allclose(got, v * np.exp(lam * 0.7), rtol=1e-12)
 
     def test_matches_rk4_oracle(self):
@@ -94,7 +94,7 @@ class TestExpmApply:
         L = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         expected = rk4_matrix_ode(L, v, 0.3, step=1e-4)
-        got = qmath.Propagator(L).apply(v, 0.3)
+        got = qmath.Propagator(L).apply_grid(v, [0.3])[:, 0]
         assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-7
 
     def test_semigroup_property(self):
@@ -102,8 +102,8 @@ class TestExpmApply:
         L = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         prop = qmath.Propagator(L)
-        once = prop.apply(v, 0.8)
-        twice = prop.apply(prop.apply(v, 0.5), 0.3)
+        once = prop.apply_grid(v, [0.8])[:, 0]
+        twice = prop.apply_grid(prop.apply_grid(v, [0.5])[:, 0], [0.3])[:, 0]
         assert np.linalg.norm(once - twice) / np.linalg.norm(once) < 1e-9
 
     def test_keeps_eigenvector_condition(self):
@@ -121,7 +121,7 @@ class TestExpmApply:
         with pytest.raises(ValueError):
             qmath.Propagator(np.eye(2) * np.nan)
         with pytest.raises(ValueError):
-            qmath.Propagator(np.eye(2)).apply(np.array([np.inf, 1.0]), 1.0)
+            qmath.Propagator(np.eye(2)).apply_grid(np.array([np.inf, 1.0]), [1.0])
 
 
 class TestPropagatorFallback:
@@ -131,7 +131,7 @@ class TestPropagatorFallback:
         prop = qmath.Propagator(L)
         assert prop.method == "expm"
         assert prop.condition == np.inf
-        got = prop.apply(np.array([1.0, 1.0], dtype=complex), 2.0)
+        got = prop.apply_grid(np.array([1.0, 1.0], dtype=complex), [2.0])[:, 0]
         assert np.allclose(got, [3.0, 1.0], atol=1e-12)  # exp(Lt) = [[1, t], [0, 1]]
 
     def test_exceptional_point_liouvillian(self):
@@ -156,6 +156,50 @@ class TestPropagatorFallback:
         taus = np.array([0.0, 0.1, 0.5, 2.0])
         got = prop.apply_grid(np.array([0.0, 1.0], dtype=complex), taus)
         assert np.allclose(got[0], taus, atol=1e-12)
+
+
+class TestCorrelate:
+    def test_eig_rows_match_apply_grid(self):
+        rng = np.random.default_rng(11)
+        prop = qmath.Propagator(random_lindblad(3, rng))
+        assert prop.method == "eig" and prop.condition < 1e3
+        probes, states = rng.normal(size=(2, 3, 9)) + 1j * rng.normal(size=(2, 3, 9))
+        taus = np.linspace(0.0, 4.0, 41)
+        got = prop.correlate(probes, states, taus)
+        assert got.shape == (3, taus.size)
+        for row, probe, state in zip(got, probes, states):
+            expected = probe @ prop.apply_grid(state, taus)
+            assert np.max(np.abs(row - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_defective_generator_rows_match_apply_grid(self):
+        # The Jordan block of test_defective_generator_uses_expm: exp(Lt) =
+        # [[1, t], [0, 1]], so <probe, exp(Lt) state> is p0 s0 + (p0 t + p1) s1.
+        prop = qmath.Propagator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        assert prop.method == "expm"
+        probes = np.array([[1.0, 0.0], [2.0, -1.0j]])
+        states = np.array([[1.0, 1.0], [0.5j, 3.0]])
+        taus = np.array([0.0, 0.5, 1.0, 2.5])
+        got = prop.correlate(probes, states, taus)
+        for row, probe, state in zip(got, probes, states):
+            assert np.array_equal(row, probe @ prop.apply_grid(state, taus))
+            (p0, p1), (s0, s1) = probe, state
+            assert np.allclose(row, p0 * s0 + (p0 * taus + p1) * s1, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "probes, states, taus",
+        [
+            (np.ones((2, 3)), np.ones((1, 3)), [0.0, 1.0]),  # row counts differ
+            (np.ones(3), np.ones(3), [0.0, 1.0]),  # not one row per pair
+            (np.ones((2, 4)), np.ones((2, 4)), [0.0, 1.0]),  # wrong dimension
+            (np.array([[np.nan, 0.0, 0.0]]), np.ones((1, 3)), [0.0, 1.0]),
+            (np.ones((1, 3)), np.array([[0.0, np.inf, 0.0]]), [0.0, 1.0]),
+            (np.ones((1, 3)), np.ones((1, 3)), [0.0, np.nan]),
+        ],
+    )
+    def test_rejects_bad_shapes_and_non_finite_input(self, probes, states, taus):
+        prop = qmath.Propagator(np.diag([-1.0, -2.0, 0.0]))
+        with pytest.raises(ValueError):
+            prop.correlate(probes, states, taus)
 
 
 class TestSteadyVector:

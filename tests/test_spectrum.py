@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from filtered_rf.dynamics import first_order_coherence, steady_state
 from filtered_rf.filtercorr import SensorPipeline
@@ -117,7 +118,7 @@ class TestEmissionSpectrum:
         em = EmitterParams(gamma=1.0, rabi=0.5, laser_linewidth=0.05)
         omegas = np.linspace(-60.0, 60.0, 200001)
         dec = emission_spectrum(em, omegas)
-        area = np.trapezoid(dec.values, omegas)
+        area = trapezoid(dec.values, omegas)
         assert abs(area - 1.0 / 6.0) < 1e-3 * (1.0 / 6.0) + 1e-4
 
     def test_pole_sum_matches_numeric_fourier_transform(self):
@@ -133,7 +134,7 @@ class TestEmissionSpectrum:
         g1 = first_order_coherence(em, taus)
         fluctuation = g1 - g1[-1]
         ft = np.array(
-            [np.trapezoid(fluctuation * np.exp(1j * o * taus), taus).real / np.pi for o in omegas]
+            [trapezoid(fluctuation * np.exp(1j * o * taus), taus).real / np.pi for o in omegas]
         )
         rel_l2 = np.linalg.norm(inc_sampled - ft) / np.linalg.norm(ft)
         assert rel_l2 < 1e-4
@@ -144,10 +145,20 @@ class TestEmissionSpectrum:
         kinds = {c.kind for c in dec.components}
         assert kinds == {"coherent", "rayleigh"}
 
-    def test_rejects_narrow_grid(self):
+    @pytest.mark.parametrize(
+        "omegas, message",
+        [
+            (np.linspace(-3.0, 3.0, 100), "grid too narrow"),
+            ([], "omega grid"),
+            (np.full(5, np.nan), "omega grid"),
+            ([-10.0, np.nan, 10.0], "omega grid"),
+            ([-10.0, 0.0, np.inf], "omega grid"),
+        ],
+    )
+    def test_rejects_narrow_grid(self, omegas, message):
         em = EmitterParams(gamma=1.0, rabi=2.0, laser_linewidth=5e-4)
-        with pytest.raises(ValueError, match="grid too narrow"):
-            emission_spectrum(em, np.linspace(-3.0, 3.0, 100))
+        with pytest.raises(ValueError, match=message):
+            emission_spectrum(em, omegas)
 
     def test_requires_laser_linewidth(self):
         em = EmitterParams(gamma=1.0, rabi=2.0)
@@ -192,11 +203,23 @@ class TestLorentzianTransmission:
         numeric, _ = scipy.integrate.quad(integrand, -np.inf, np.inf, limit=400)
         assert abs(lorentzian_transmission(w, filt, offset) - numeric) < 1e-10
 
-    def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError):
-            lorentzian_transmission(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            lorentzian_transmission(1.0, 0.0)
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: lorentzian_transmission(-1.0, 1.0), "line width"),
+            (lambda: lorentzian_transmission(1.0, 0.0), "filter width"),
+            (lambda: lorentzian_transmission(1.0, np.nan), "filter width"),
+            (lambda: lorentzian_transmission(np.inf, 1.0), "line width"),
+            (lambda: lorentzian_transmission(np.nan, 1.0), "line width"),
+            (lambda: lorentzian_transmission(1.0, 1.0, np.nan), "offset"),
+            (lambda: filtered_fractions(EmitterParams(gamma=1.0, rabi=1.0), np.nan), "filter width"),
+            (lambda: filtered_fractions(EmitterParams(gamma=1.0, rabi=1.0), np.inf), "filter width"),
+            (lambda: filtered_fractions(EmitterParams(gamma=1.0, rabi=1.0), 0.0), "filter width"),
+        ],
+    )
+    def test_rejects_bad_widths(self, call, name):
+        with pytest.raises(ValueError, match=name):
+            call()
 
 
 class TestFilteredFractions:
@@ -252,7 +275,7 @@ class TestFilteredFractions:
             else:
                 lam = complex(-c.hwhm, -c.center)
                 curve = np.real(c.residue / (-lam - 1j * omegas)) / np.pi
-            areas[c.kind] = areas.get(c.kind, 0.0) + np.trapezoid(curve * transmission, omegas)
+            areas[c.kind] = areas.get(c.kind, 0.0) + trapezoid(curve * transmission, omegas)
         total = sum(areas.values())
         for kind, area in areas.items():
             assert abs(fr[kind] - area / total) < 1e-4

@@ -114,7 +114,7 @@ class TestDissipator:
         excited = np.diag([0.0, 1.0]).astype(complex)
         prop = qmath.Propagator(L)
         for t in (0.3, 1.0, 2.5):
-            rho_t = qmath.unvec(prop.apply(qmath.vec(excited), t))
+            rho_t = qmath.unvec(prop.apply_grid(qmath.vec(excited), [t])[:, 0])
             assert abs(rho_t[1, 1].real - np.exp(-0.8 * t)) < 1e-12
 
     def test_preserves_hermiticity(self):
@@ -186,6 +186,6 @@ class TestLiouvillian:
         L1, L2 = build_liouvillian(m1), build_liouvillian(m2)
         v0 = qmath.vec(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
         t = 0.8
-        a = qmath.Propagator(L1).apply(v0, t)
-        b = qmath.Propagator(L2).apply(v0, t / scale)
+        a = qmath.Propagator(L1).apply_grid(v0, [t])[:, 0]
+        b = qmath.Propagator(L2).apply_grid(v0, [t / scale])[:, 0]
         assert np.allclose(a, b, atol=1e-10)
