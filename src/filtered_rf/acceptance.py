@@ -99,7 +99,8 @@ def _dip_fwhm(taus, values):
 
 
 def _g2_zero(emitter, width, beta=0.0):
-    return calibrate_background(SensorPipeline(emitter, width), beta).g2_zero()
+    ideal = SensorPipeline(emitter, width)
+    return ideal.g2_zero(calibrate_background(ideal, beta))
 
 
 def _eta_check(emitter, width):

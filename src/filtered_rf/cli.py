@@ -241,8 +241,8 @@ def sweep_values(config):
         raise ConfigError(f"sweep.values must be numbers, got {config['sweep']['values']!r}") from None
     if not values:
         raise ConfigError("sweep.values must not be empty")
-    if any(v <= 0.0 for v in values):
-        raise ConfigError("sweep.values must be positive")
+    if not all(0.0 < v < math.inf for v in values):
+        raise ConfigError("sweep.values must be finite and positive")
     config["sweep"]["values"] = values
     return values
 

@@ -6,15 +6,14 @@ coincidence of their populations is the filtered g2.  The defining limit
 is vanishing emitter-sensor coupling eta.  There each sensor is a linear
 filter of the emitter field, so :class:`SensorPipeline` computes the limit
 exactly on the emitter's own 4-dim Liouville space, from a short hierarchy
-of emitter operators solved once at zero laser background; the background
-is an exact displacement of that solution.  The full 64-dim two-sensor
-model, with the halving check :func:`eta_convergence`, remains as the
-finite-coupling reference.
+of emitter operators solved once at zero laser background; each read-out
+takes the background amplitude and weighs that one solution exactly.  The
+full 64-dim two-sensor model, with the halving check
+:func:`eta_convergence`, remains as the finite-coupling reference.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -124,29 +123,39 @@ _BLOCK_TRACES = np.kron(np.eye(4), _TRACE_ROW)
 
 
 class SensorPipeline:
-    """Two identical sensors in the exact vanishing-coupling limit.
+    """Two identical sensors in the exact vanishing-coupling limit, solved
+    once, at zero laser background.
 
     There each sensor is a linear filter of the field sigma + b, and the
     two-sensor state reduces to emitter operators, one per count p of
     sensor excitations on the ket and q on the bra, in units of
     (eta/m)^(p + q) with m = |k|, k = width/2 + i center the filter's
     response rate: both sensors filter the same field alike, so which sensor
-    holds an excitation does not matter.  The hierarchy is solved once, at
-    b = 0: X_{0,0} is the emitter's closed-form steady state
-    (:func:`emitter_state`), and each of the other eight, p, q <= 2, solves
+    holds an excitation does not matter.  At b = 0, X_{0,0} is the emitter's
+    closed-form steady state (:func:`emitter_state`), and each of the other
+    eight, p, q <= 2, solves
 
         (p k + q conj(k) - L_e) X_{p,q} = -i m p sigma X_{p-1,q} + i m q X_{p,q-1} sigma^dag,
 
     one term per excited sensor.  Re(p k + q conj(k)) > 0, so every solve is
     regular, exceptional points included; X_{q,p} = X_{p,q}^dag to rounding.
 
-    The constant b only shifts each sensor amplitude by the c-number
-    beta = -i m b / k, |beta| = b, so the operators at b are binomial sums
-    of those at b = 0: each sensor population, in units of (eta/m)^2, is
-    sum_{p,q} w_p conj(w_q) tr X_{p,q} with w = (beta, 1, 0), and the
-    coincidence, in (eta/m)^4, takes w = (beta^2, 2 beta, 1).  A new
-    pipeline is at b = 0; :func:`calibrate_background` displaces it.
-    ``emitter_coherence`` is the emitter's steady <sigma>.
+    The background amplitude b is an argument of each read-out, not part of
+    the pipeline: b only shifts each sensor amplitude by the c-number
+    beta = -i m b / k, |beta| = b, so one weight rule over the b = 0
+    solution gives every result at b.  Row 2 i + j of the jump basis holds
+    the four blocks (Y00, Y10, Y01, Y11), Y[s, s'] = X_{i+s, j+s'}, of the
+    state after a jump on sensor 1, and the trace table T[s, r] is the trace
+    of block s of row r.  With w(b) = (|beta|^2, beta, conj(beta), 1) the
+    jumped state at b is w @ jumps and sensor 2's probe at b is conj(w) over
+    the block traces, so the sensor population, in units of (eta/m)^2, and
+    the coincidence, in (eta/m)^4, are
+
+        n(b) = Re(T[0] . w),    c(b) = Re(conj(w) . T . w),
+
+    and a trace is the same bilinear form, propagated (:func:`_g2_grid`).
+    ``emitter_coherence`` is the emitter's steady <sigma>; ``propagator``
+    is the trace propagator, None until the first trace builds it.
     """
 
     def __init__(self, emitter, filter_width, filter_center=0.0):
@@ -178,67 +187,40 @@ class SensorPipeline:
             x[p, q] = np.linalg.solve(matrix, source)
 
         self._components = x  # X_{p,q} at index [p, q]
-        self._traces = x @ _TRACE_ROW
+        self._jumps = x[_JUMP_COUNTS].reshape(4, 16)
+        self._table = _BLOCK_TRACES @ self._jumps.T
         self._rate = k
-        # The trace propagator is built on the first trace; every pipeline
-        # displaced from this one shares the slot that holds it.
         self._blocks = (L, emit, absorb, k)
-        self._trace = [None]
-        self._displace(0.0)
+        self.propagator = None
 
-    def _displace(self, background_b):
-        self.background_b = float(background_b)
-        beta = self._beta = -1j * abs(self._rate) * self.background_b / self._rate
-        # Ket weights over the counts p = 0, 1, 2 of X_b[10, .] and of
-        # X_b[11, .]; the bra weights are their conjugates.
-        weights = np.array([[beta, 1.0, 0.0], [beta * beta, 2.0 * beta, 1.0]])
-        population, coincidence = ((weights @ self._traces) * weights.conj()).sum(axis=1).real
-        self.scaled_populations = (float(population), float(population))
-        self._coincidence = float(coincidence)
+    def _weights(self, bs):
+        """w(b), one row per amplitude in bs, and T w(b) for each row: n(b)
+        is the real part of its first entry, c(b) that of conj(w) . T w."""
+        if not all(map(math.isfinite, bs)):
+            raise ValueError(f"background amplitude must be finite, got {list(bs)}")
+        k = self._rate
+        betas = [-1j * abs(k) * b / k for b in bs]
+        w = np.array([[abs(beta) ** 2, beta, beta.conjugate(), 1.0] for beta in betas])
+        return w, w @ self._table.T
 
-    def _displaced(self, background_b):
-        """This pipeline at background amplitude b, sharing its b = 0
-        components and its propagator."""
-        pipeline = copy.copy(self)
-        pipeline._displace(background_b)
-        return pipeline
+    def population(self, b=0.0):
+        """Either sensor's population n(b), in units of (eta/m)^2."""
+        return float(self._weights([b])[1][0, 0].real)
 
-    @property
-    def propagator(self):
-        """The trace propagator, or None until a delay has been propagated."""
-        return self._trace[0]
+    def g2_zero(self, b=0.0):
+        """Normalized zero-delay coincidence tr[n1 n2 rho] / (<n1><n2>) at
+        background amplitude b."""
+        w, tw = self._weights([b])
+        n = tw[0, 0].real
+        return float(np.vdot(w, tw).real / _require_emission(n * n, "the sensor population product"))
 
-    def _normalization(self):
-        """<n1><n2> in the pipeline's units."""
-        n1, n2 = self.scaled_populations
-        return _require_emission(n1 * n2, "the sensor population product")
-
-    def g2_zero(self):
-        """Normalized zero-delay coincidence tr[n1 n2 rho] / (<n1><n2>)."""
-        return self._coincidence / self._normalization()
-
-    def g2_values(self, taus):
-        """Filtered g2 on a tau grid: the sensor-2 population after a jump on
-        sensor 1, evolved by tau, over <n1><n2>.
-
-        After the jump the sensor-1-ground components Y[s, s'] = X_b[1s, 1s']
-        evolve on their own.  Their generator at b is D G D^-1, with G the
-        one at b = 0 and D the displacement of sensor 2, so Y is evolved by G
-        from D^-1 Y(0), which displaces sensor 1 only, and D is applied in
-        the probe: tr Y[1, 1] + beta tr Y[0, 1] + conj(beta) tr Y[1, 0]
-        + |beta|^2 tr Y[0, 0].  Both are quadratic in beta: the jumped state
-        and the probe weigh four b = 0 rows each; see :func:`_g2_grid`.
-        """
+    def g2_values(self, taus, b=0.0):
+        """Filtered g2 on a tau grid at background amplitude b: the sensor-2
+        population after a jump on sensor 1, evolved by tau, over <n1><n2>."""
         taus = _check_taus(taus)
         if np.all(taus == 0.0):
-            return np.full(taus.shape, self.g2_zero())
-        return _g2_grid([self], taus)[0]
-
-    def _trace_propagator(self):
-        """The trace propagator, built on the first call."""
-        if self._trace[0] is None:
-            self._trace[0] = qmath.Propagator(_trace_generator(*self._blocks), _trace_eigen(*self._blocks))
-        return self._trace[0]
+            return np.full(taus.shape, self.g2_zero(b))
+        return _g2_grid(self, [b], taus)[0]
 
 
 def _block_triangular(diagonal, ket, bra, corner=0.0):
@@ -293,22 +275,23 @@ def _trace_eigen(L, emit, absorb, k):
     return evals, evecs
 
 
-def _g2_grid(pipelines, taus):
-    """Filtered g2 of pipelines displaced from one b = 0 solve, one row each
-    on one tau grid (nonnegative, ascending).
+def _g2_grid(pipeline, bs, taus):
+    """Filtered g2 of a pipeline at each background amplitude in bs, one row
+    each on one tau grid (nonnegative, ascending).
 
-    With w a pipeline's shift weights, a row is one read-out of the shared
-    trace propagator: the jumped state w @ jumps, jumps the four rows of the
-    b = 0 components, probed by conj(w) @ block traces, over n1 n2.
+    After the jump on sensor 1 the sensor-1-ground blocks Y evolve on their
+    own.  Their generator at b is D G D^-1, with G the one at b = 0 and D the
+    displacement of sensor 2, so Y(0) at b, w(b) @ jumps, is evolved by G and
+    D is applied in the probe, conj(w(b)) over the block traces: a row is
+    that read-out of the one trace propagator, over n(b)^2.
     """
-    first = pipelines[0]
-    # Weights of the jump basis, shift_i conj(shift_k) at 2 i + k with
-    # shift = (beta, 1); the probe basis takes their conjugates.
-    weights = np.array([[abs(p._beta) ** 2, p._beta, p._beta.conjugate(), 1.0] for p in pipelines])
-    norms = np.array([p._normalization() for p in pipelines])
-    jumps = first._components[_JUMP_COUNTS].reshape(4, 16)
-    rows = first._trace_propagator().correlate(weights.conj() @ _BLOCK_TRACES, weights @ jumps, taus)
-    return _real_part(rows / norms[:, None], "filtered g2")
+    w, tw = pipeline._weights(bs)
+    norms = [_require_emission(n * n, "the sensor population product") for n in tw[:, 0].real]
+    if pipeline.propagator is None:
+        blocks = pipeline._blocks
+        pipeline.propagator = qmath.Propagator(_trace_generator(*blocks), _trace_eigen(*blocks))
+    rows = pipeline.propagator.correlate(w.conj() @ _BLOCK_TRACES, w @ pipeline._jumps, taus)
+    return _real_part(rows / np.array(norms)[:, None], "filtered g2")
 
 
 class TwoSensorModel:
@@ -426,50 +409,44 @@ def unfiltered_g2(emitter, taus=None):
 
 
 def calibrate_background(pipeline, beta):
-    """The pipeline at the background amplitude b giving background fraction beta.
+    """The background amplitude b, a float, that gives background fraction beta.
 
-    ``pipeline`` is the b = 0 :class:`SensorPipeline` of the parameter
-    point; it already holds the emitter, the filter and the
-    population A below.  beta is the share of the total detected (sensor)
-    population that the laser background alone would produce.  In the
-    vanishing-coupling limit each sensor is a linear filter of the field
-    sigma + b, so its population is exactly quadratic in b,
-    n(b) = A + 2 Re<sigma> b + b^2 in the pipeline's units: the background
-    alone drives the damped sensor with strength b m, m = |width/2 + i center|
-    the reference coupling, which gives b^2.  b is the positive root of
-    (1 - beta) b^2 - beta B b - beta A = 0 with B = 2 Re<sigma>.  The
-    returned pipeline is the given one displaced to b: it shares its solved
-    components and its propagator, and its n(b) takes the cross term from
-    the solved hierarchy, so the forward check compares two routes to the
-    same ratio.  For beta = 0 it is the given pipeline.  Its forward ratio
-    is ``p.background_b**2 / p.scaled_populations[0]``.
+    ``pipeline`` is the :class:`SensorPipeline` of the parameter point; it
+    holds the emitter, the filter and the b = 0 population A below.  beta
+    is the share of the total detected (sensor) population that the laser
+    background alone would produce.  In the vanishing-coupling limit each
+    sensor is a linear filter of the field sigma + b, so its population is
+    exactly quadratic in b, n(b) = A + 2 Re<sigma> b + b^2 in the pipeline's
+    units: the background alone drives the damped sensor with strength b m,
+    m = |width/2 + i center| the reference coupling, which gives b^2.  b is
+    the positive root of (1 - beta) b^2 - beta B b - beta A = 0 with
+    B = 2 Re<sigma>.  The forward check reads n(b) from
+    ``pipeline.population(b)``, whose cross term comes from the solved
+    hierarchy, so it compares two routes to the same ratio b^2 / n(b).
+    beta = 0 gives b = 0.0.  The results at b are the pipeline's read-outs
+    at b, such as ``pipeline.g2_zero(b)``.
     """
     beta = float(beta)
     if not 0.0 <= beta <= MAX_BACKGROUND:
         raise ValueError(f"beta must lie in [0, {MAX_BACKGROUND}], got {beta}")
-    if pipeline.background_b != 0.0:
-        raise ValueError(
-            f"calibrate_background needs the b = 0 pipeline, got b = {pipeline.background_b}"
-        )
     if beta == 0.0:
-        return pipeline
+        return 0.0
 
     # Populations in the pipeline's scaled units.  Without drive A = 0 and
     # B = 0, so any background alone gives ratio 1 and no root reaches beta.
-    A = _require_emission(pipeline.scaled_populations[0], "the sensor population")
+    A = _require_emission(pipeline.population(), "the sensor population")
     B = 2.0 * pipeline.emitter_coherence.real
     a = 1.0 - beta
     root = math.sqrt((beta * B) ** 2 + 4.0 * a * beta * A)
     # Both forms avoid cancellation between beta * B and the root.
     solved = (beta * B + root) / (2.0 * a) if B >= 0.0 else 2.0 * beta * A / (root - beta * B)
 
-    calibrated = pipeline._displaced(solved)
-    forward = solved**2 / calibrated.scaled_populations[0]
+    forward = solved**2 / pipeline.population(solved)
     if abs(forward - beta) > 1e-6:
         raise BackgroundCalibrationError(
             f"forward check failed: ratio({solved:.6e}) = {forward:.8f} != {beta}"
         )
-    return calibrated
+    return solved
 
 
 def eta_convergence(
@@ -525,8 +502,9 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
         taus = default_tau_grid(emitter, (filter_width,))
     taus = _check_taus(taus)
 
-    pipeline = calibrate_background(SensorPipeline(emitter, filter_width, filter_center), beta)
-    values = pipeline.g2_values(taus)
+    pipeline = SensorPipeline(emitter, filter_width, filter_center)
+    b = calibrate_background(pipeline, beta)
+    values = pipeline.g2_values(taus, b)
     propagator = pipeline.propagator
     return CorrelationTrace(
         taus=taus,
@@ -539,7 +517,7 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
             "filter_width": filter_width,
             "filter_center": filter_center,
             "beta": float(beta),
-            "background_b": pipeline.background_b,
+            "background_b": b,
             "propagator_method": None if propagator is None else propagator.method,
             "propagator_condition": None if propagator is None else propagator.condition,
             "irf_applied": False,
@@ -547,19 +525,18 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
     )
 
 
-def _g2_zero_convolved(pipelines, irf):
-    """IRF-smeared g2(0) of pipelines displaced from one b = 0 solve: one sum
-    of the detector kernel centred on tau = 0 over the even extension of each
-    g2, sampled at the delay spacing that a full trace at this point would
-    use.  The kernel grid is built once, for every pipeline."""
-    first = pipelines[0]
-    span = max(_default_span(first.emitter, (first.filter_width,)), 8.0 * irf.fwhm)
+def _g2_zero_convolved(pipeline, bs, irf):
+    """IRF-smeared g2(0) of a pipeline at each background amplitude in bs:
+    one sum of the detector kernel centred on tau = 0 over the even
+    extension of each g2, sampled at the delay spacing that a full trace at
+    this point would use.  The kernel grid is built once, for every b."""
+    span = max(_default_span(pipeline.emitter, (pipeline.filter_width,)), 8.0 * irf.fwhm)
     n = max(DEFAULT_TAU_POINTS, int(np.ceil(span / (irf.fwhm / 10.0))) + 1)
     dt = span / (n - 1)
     kernel = _kernel(irf.fwhm, dt)
     half = kernel.size // 2
     head = np.arange(half + 1) * dt
-    return [float(kernel @ np.concatenate([g2[:0:-1], g2])) for g2 in _g2_grid(pipelines, head)]
+    return [float(kernel @ np.concatenate([g2[:0:-1], g2])) for g2 in _g2_grid(pipeline, bs, head)]
 
 
 def _axis_point(emitter, axis, x, filter_width):
@@ -583,18 +560,18 @@ def sweep_point(
 
     Returns the row {"x", "g2_ideal", "g2_lo", "g2_hi"}: the ideal value (no
     background, no IRF) and the values at the two background bounds,
-    IRF-convolved when an IRF is given.  Every value comes from one b = 0
-    pipeline: g2_ideal directly, each background bound through its
-    calibration from it, and with an IRF both bounds through one smear.
+    IRF-convolved when an IRF is given.  Every value is a read-out of one
+    pipeline: g2_ideal at b = 0, each bound at its calibrated amplitude, and
+    with an IRF both bounds through one smear.
     """
     em, width = _axis_point(emitter, axis, x, filter_width)
     if beta_lo > beta_hi:
         raise ValueError(f"beta bounds out of order: {beta_lo} > {beta_hi}")
 
     ideal = SensorPipeline(em, width, filter_center)
-    bounds = [calibrate_background(ideal, beta) for beta in (beta_lo, beta_hi)]
+    bs = [calibrate_background(ideal, beta) for beta in (beta_lo, beta_hi)]
     if irf is None:
-        g2_lo, g2_hi = (pipeline.g2_zero() for pipeline in bounds)
+        g2_lo, g2_hi = (ideal.g2_zero(b) for b in bs)
     else:
-        g2_lo, g2_hi = _g2_zero_convolved(bounds, irf)
+        g2_lo, g2_hi = _g2_zero_convolved(ideal, bs, irf)
     return {"x": x, "g2_ideal": ideal.g2_zero(), "g2_lo": g2_lo, "g2_hi": g2_hi}

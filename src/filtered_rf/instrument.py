@@ -95,6 +95,16 @@ def _uniform_spacing(grid, what):
     return float(steps[0])
 
 
+def _samples(values, grid, name):
+    """Samples as a float array, one finite value per grid point."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != np.shape(grid):
+        raise ValueError(f"{name} has shape {values.shape}, its grid {np.shape(grid)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite samples")
+    return values
+
+
 def kernel_half_width(fwhm, dt):
     """Grid steps the truncated Gaussian kernel reaches on each side of its centre."""
     return int(math.ceil(_KERNEL_SIGMAS * (fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))) / dt))
@@ -131,9 +141,10 @@ def irf_convolve(trace, irf):
     dt = _uniform_spacing(trace.taus, "tau grid")
     if trace.taus[0] != 0.0:
         raise ValueError("tau grid must start at 0 for the even extension")
+    values = _samples(trace.values, trace.taus, "trace.values")
     # The even extension starts and ends with the asymptotic value values[-1].
-    extended = np.concatenate([trace.values[:0:-1], trace.values])
-    out = _smooth(extended, dt, irf, "tau grid")[trace.values.size - 1 :]
+    extended = np.concatenate([values[:0:-1], values])
+    out = _smooth(extended, dt, irf, "tau grid")[values.size - 1 :]
 
     metadata = dict(trace.metadata)
     metadata.update(irf_applied=True, irf_fwhm=irf.fwhm)
@@ -143,7 +154,7 @@ def irf_convolve(trace, irf):
 def spectral_irf_convolve(omegas, values, irf):
     """Gaussian smoothing of a sampled spectrum on a uniform grid."""
     domega = _uniform_spacing(omegas, "omega grid")
-    return _smooth(np.asarray(values, dtype=float), domega, irf, "omega grid")
+    return _smooth(_samples(values, omegas, "values"), domega, irf, "omega grid")
 
 
 def etalon_bandwidth(fsr, finesse):

@@ -167,7 +167,8 @@ class Propagator:
         On the eig path row i is the pole sum sum_mu c_mu exp(lambda_mu tau),
         c = (probes V)[i] (states V^-T)[i]; the poles are added one after
         another, elementwise, so the result does not depend on how a BLAS
-        library would split a product.  The expm path propagates each state.
+        library would split a product.  The expm path propagates the states
+        as one block, one step matrix for all of them.
         """
         probes = np.asarray(probes, dtype=complex)
         states = np.asarray(states, dtype=complex)
@@ -180,27 +181,31 @@ class Propagator:
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} contain non-finite entries")
         if self.method != "eig":
-            return np.array([p @ self.apply_grid(s, taus) for p, s in zip(probes, states)])
+            evolved = self._apply_grid_expm(states.T, taus).transpose(1, 0, 2)
+            return np.array([p @ block for p, block in zip(probes, evolved)])
         weights = (probes @ self.eigenvectors) * (states @ self.inverse.T)
         phases = np.exp(np.multiply.outer(self.eigenvalues, taus))
         return (weights[..., None] * phases).sum(axis=-2)
 
-    def _apply_grid_expm(self, v, taus):
+    def _apply_grid_expm(self, states, taus):
+        """exp(L tau) states by scaling-and-squaring, for a (dim,) vector or
+        a (dim, n) block of states, with the tau axis appended.  A uniform
+        grid takes one step matrix for every state."""
         import scipy.linalg  # deferred: only near-defective generators need it
 
-        out = np.empty((self.dim, taus.size), dtype=complex)
+        out = np.empty(states.shape + (taus.size,), dtype=complex)
         steps = np.diff(taus)
         uniform = taus.size > 2 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
         if uniform:
-            cur = scipy.linalg.expm(self.matrix * taus[0]) @ v if taus[0] != 0.0 else v.copy()
+            cur = scipy.linalg.expm(self.matrix * taus[0]) @ states if taus[0] != 0.0 else states
             step = scipy.linalg.expm(self.matrix * steps[0])
-            out[:, 0] = cur
+            out[..., 0] = cur
             for k in range(1, taus.size):
                 cur = step @ cur
-                out[:, k] = cur
+                out[..., k] = cur
             return out
         for k, t in enumerate(taus):
-            out[:, k] = v if t == 0.0 else scipy.linalg.expm(self.matrix * t) @ v
+            out[..., k] = states if t == 0.0 else scipy.linalg.expm(self.matrix * t) @ states
         return out
 
 

@@ -404,11 +404,13 @@ class TestConfigHandling:
         assert main([*argv, "-o", "-"]) == 1
         assert f"error: {key} must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["-1", "0"])
+    # nan <= 0 is false: unchecked, nan and inf reached the sweep and the
+    # '# config:' line, which is then not valid JSON.
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e400"])
     @pytest.mark.parametrize("subcommand", ["g2-sweep", "fractions", "transmission"])
     def test_nonpositive_sweep_values_exit_one(self, capsys, subcommand, value):
-        assert main([subcommand, "--axis", "filter-width", f"--values={value}", "-o", "-"]) == 1
-        assert "error: sweep.values must be positive" in capsys.readouterr().err
+        assert main([subcommand, "--axis", "filter-width", f"--values=0.29,{value}", "-o", "-"]) == 1
+        assert "error: sweep.values must be finite and positive" in capsys.readouterr().err
 
     def test_negative_offsets_allowed(self, tmp_path):
         code, _ = run(

@@ -119,6 +119,14 @@ class TestFilteredG2:
         with pytest.raises(ValueError, match="filter (width|center) must be finite"):
             sweep_point(WEAK, "rabi", 0.5, width, center)
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf])
+    def test_pipeline_rejects_non_finite_amplitude(self, b):
+        # Unchecked, g2_zero(nan) reported "no emission without drive".
+        pipe = SensorPipeline(WEAK, 0.29)
+        for call in (lambda: pipe.population(b), lambda: pipe.g2_zero(b), lambda: pipe.g2_values([0.0, 1.0], b)):
+            with pytest.raises(ValueError, match="background amplitude must be finite"):
+                call()
+
     def test_zero_drive_is_an_error(self):
         # Without drive there is no emission to normalize by.
         dark = EmitterParams(gamma=1.0, rabi=0.0)
@@ -133,9 +141,9 @@ class TestFilteredG2:
             with pytest.raises(ValueError, match="no emission without drive"):
                 call()
         # The laser background alone is coherent light: g2 = 1 at every delay.
-        lit = SensorPipeline(dark, 0.29)._displaced(0.5)
-        assert lit.g2_zero() == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(lit.g2_values(taus) - 1.0)) < 1e-12
+        lit = SensorPipeline(dark, 0.29)
+        assert lit.g2_zero(0.5) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(lit.g2_values(taus, 0.5) - 1.0)) < 1e-12
 
     def test_scaled_engine_matches_plain_regression(self):
         # at a moderate coupling the rescaled solve must agree with the
@@ -223,10 +231,11 @@ class TestVanishingCouplingLimit:
     def test_unit_scaling_invariance(self, scale, rabi, width, center):
         em = EmitterParams(gamma=1.0, rabi=rabi)
         scaled = EmitterParams(gamma=scale, rabi=rabi * scale)
-        a = calibrate_background(SensorPipeline(em, width, center), 0.2)
-        b = calibrate_background(SensorPipeline(scaled, width * scale, center * scale), 0.2)
-        assert b.background_b == pytest.approx(a.background_b, rel=1e-9)
-        assert b.g2_zero() == pytest.approx(a.g2_zero(), rel=1e-9, abs=1e-12)
+        pipe = SensorPipeline(em, width, center)
+        scaled_pipe = SensorPipeline(scaled, width * scale, center * scale)
+        b, scaled_b = calibrate_background(pipe, 0.2), calibrate_background(scaled_pipe, 0.2)
+        assert scaled_b == pytest.approx(b, rel=1e-9)
+        assert scaled_pipe.g2_zero(scaled_b) == pytest.approx(pipe.g2_zero(b), rel=1e-9, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -238,12 +247,12 @@ class TestVanishingCouplingLimit:
     )
     def test_emitter_space_matches_two_sensor_limit(self, rabi, detuning, width, center, b):
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
-        pipe = SensorPipeline(em, width, center)._displaced(b)
+        pipe = SensorPipeline(em, width, center)
         ref = TwoSensorModel(em, width, center, 0.0, b)
-        assert pipe.g2_zero() == pytest.approx(ref.g2_zero(), rel=1e-12)
+        assert pipe.g2_zero(b) == pytest.approx(ref.g2_zero(), rel=1e-12)
         # Both populations: the reference solves for each sensor apart, the
         # pipeline gives both from the one count-indexed hierarchy.
-        assert pipe.scaled_populations == pytest.approx(ref.scaled_populations, rel=1e-12)
+        assert (pipe.population(b),) * 2 == pytest.approx(ref.scaled_populations, rel=1e-12)
         # <sigma> of the reference: its zero-sensor block, the only one that
         # weighs in the trace at eta = 0.  |2 Re<sigma>| <= 1, so the floor
         # is 1e-12 of max(1, |2 Re<sigma>|); at resonance it is exactly 0.
@@ -281,7 +290,7 @@ class TestVanishingCouplingLimit:
         swapped = ref.g2_values(taus, jump_sensor=1, probe_sensor=0)
         scale = np.maximum(1.0, np.abs(forward))
         assert np.max(np.abs(swapped - forward) / scale) < 1e-10
-        got = SensorPipeline(em, width, center)._displaced(b).g2_values(taus)
+        got = SensorPipeline(em, width, center).g2_values(taus, b)
         assert np.max(np.abs(got - forward) / scale) < 1e-8
 
     @settings(max_examples=100, deadline=None)
@@ -317,7 +326,7 @@ class TestVanishingCouplingLimit:
     def test_trace_matches_two_sensor_limit(self, rabi, width, center, b):
         em = EmitterParams(gamma=1.0, rabi=rabi)
         taus = default_tau_grid(em, (width,))
-        got = SensorPipeline(em, width, center)._displaced(b).g2_values(taus)
+        got = SensorPipeline(em, width, center).g2_values(taus, b)
         ref = TwoSensorModel(em, width, center, 0.0, b).g2_values(taus)
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-8
 
@@ -338,14 +347,15 @@ class TestVanishingCouplingLimit:
         ],
     )
     def test_calibrated_pipeline_matches_two_sensor_limit(self, rabi, width, center):
-        # The calibrated pipeline is the b = 0 solution displaced to b; the
+        # The pipeline reads the b = 0 solution out at the calibrated b; the
         # 64-dim model solves at b directly.
         em = EmitterParams(gamma=1.0, rabi=rabi)
-        pipe = calibrate_background(SensorPipeline(em, width, center), 0.2)
-        ref = TwoSensorModel(em, width, center, 0.0, pipe.background_b)
-        assert pipe.g2_zero() == pytest.approx(ref.g2_zero(), rel=1e-12)
+        pipe = SensorPipeline(em, width, center)
+        b = calibrate_background(pipe, 0.2)
+        ref = TwoSensorModel(em, width, center, 0.0, b)
+        assert pipe.g2_zero(b) == pytest.approx(ref.g2_zero(), rel=1e-12)
         taus = default_tau_grid(em, (width,))
-        got, expected = pipe.g2_values(taus), ref.g2_values(taus)
+        got, expected = pipe.g2_values(taus, b), ref.g2_values(taus)
         assert np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) < 1e-8
 
     @pytest.mark.parametrize(
@@ -363,7 +373,7 @@ class TestVanishingCouplingLimit:
         # background takes the expm path.
         em = EmitterParams(gamma=1.0, rabi=rabi)
         taus = np.linspace(0.0, 20.0, 81)
-        limit = SensorPipeline(em, width, center)._displaced(b).g2_values(taus)
+        limit = SensorPipeline(em, width, center).g2_values(taus, b)
         finite = TwoSensorModel(em, width, center, default_eta(em, width), b).g2_values(taus)
         assert np.max(np.abs(limit - finite)) < 1e-5
 
@@ -379,19 +389,36 @@ class TestTraceEigendecomposition:
     )
     @example(rabi=0.25, detuning=0.0, linewidth=0.0, width=1.0, center=0.0)
     @example(rabi=0.25, detuning=0.0, linewidth=0.0, width=0.5, center=0.0)
+    # Filter coincidences, lambda_m - lambda_i + t = 0 for a shift t of the
+    # trace generator: at width = gamma L_e's eigenvalues -1/2 and 0 differ
+    # by k (exactly at the first point), at width = gamma/2 by 2 Re k.
+    @example(rabi=0.05000000000000001, detuning=0.0, linewidth=0.0, width=1.0, center=0.0)
+    @example(rabi=2.0, detuning=0.0, linewidth=0.0, width=1.0, center=0.0)
+    @example(rabi=1.0, detuning=0.0, linewidth=0.0, width=0.5, center=0.0)
     def test_structured_eigenpairs_solve_the_generator(self, rabi, detuning, linewidth, width, center):
         # The eigenpairs from L_e's 4x4 decomposition are eigenpairs of the
         # 16x16 trace generator, with unit columns as numpy.linalg.eig gives.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning, laser_linewidth=linewidth)
         pipe = SensorPipeline(em, width, center)
+        L, _, _, k = pipe._blocks
         G = filtercorr._trace_generator(*pipe._blocks)
         eigen = evals, evecs = filtercorr._trace_eigen(*pipe._blocks)
-        if rabi == 0.25 and abs(detuning) < 1e-8:
+        method = qmath.Propagator(G, eigen).method
+        differences = evals[None, :4] - evals[:4, None]
+
+        def coincides(t):
+            return np.abs(differences + t).min() <= 1e-13 * np.linalg.norm(L)
+
+        if rabi == 0.25 and abs(detuning) < 1e-8 or coincides(k) or coincides(k.conjugate()):
             # The Mollow threshold (a detuning below 1e-8 is zero to this
-            # precision): L_e is defective, so no eigenbasis exists, and the
-            # propagator must not use these pairs.
-            assert qmath.Propagator(G, eigen).method == "expm"
-        else:
+            # precision), where L_e is defective, or a coincidence with k,
+            # where the structured eigenvectors divide by zero: no usable
+            # eigenbasis, so the propagator must not use these pairs.
+            assert method == "expm"
+        elif not (coincides(2.0 * k.real) and method == "expm"):
+            # At a coincidence with 2 Re k the corner block's numerator can
+            # vanish too (rabi = gamma, width = gamma/2): then the pairs
+            # stay exact and the eig path takes them.
             assert np.linalg.norm(G @ evecs - evecs * evals) <= 1e-12 * np.linalg.norm(G)
             assert np.allclose(np.linalg.norm(evecs, axis=0), 1.0, rtol=1e-14)
         # The same spectrum as the generic decomposition, pole for pole.
@@ -509,26 +536,20 @@ class TestEtaProtocol:
 
 class TestBackgroundCalibration:
     def test_zero_beta_gives_zero_amplitude(self):
-        pipe = SensorPipeline(WEAK, 1.0)
-        cal = calibrate_background(pipe, 0.0)
-        assert cal is pipe
-        assert cal.background_b == 0.0
-
-    def test_rejects_pipeline_with_background_or_coupling(self):
-        # The closed-form root holds for the b = 0 pipeline only.
-        with pytest.raises(ValueError, match="b = 0"):
-            calibrate_background(SensorPipeline(STRONG, 0.29)._displaced(0.5), 0.1)
+        b = calibrate_background(SensorPipeline(WEAK, 1.0), 0.0)
+        assert type(b) is float and b == 0.0
 
     def test_forward_check_at_strong_drive(self):
-        cal = calibrate_background(SensorPipeline(STRONG, 0.29), 0.2)
-        assert abs(cal.background_b**2 / cal.scaled_populations[0] - 0.2) < 1e-6
-        assert cal.background_b > 0.0
+        pipe = SensorPipeline(STRONG, 0.29)
+        b = calibrate_background(pipe, 0.2)
+        assert type(b) is float and b > 0.0
+        assert abs(b**2 / pipe.population(b) - 0.2) < 1e-6
 
     def test_forward_check_catches_a_wrong_displacement(self, monkeypatch):
-        # A displacement that drifted from the solved root (here, twice it)
-        # no longer gives back beta; the forward check says so.
-        displaced = SensorPipeline._displaced
-        monkeypatch.setattr(SensorPipeline, "_displaced", lambda self, b: displaced(self, 2.0 * b))
+        # A population read at an amplitude that drifted from the solved root
+        # (here, twice it) no longer gives back beta; the forward check says so.
+        population = SensorPipeline.population
+        monkeypatch.setattr(SensorPipeline, "population", lambda self, b=0.0: population(self, 2.0 * b))
         with pytest.raises(BackgroundCalibrationError, match="forward check"):
             calibrate_background(SensorPipeline(STRONG, 0.29), 0.2)
 
@@ -563,7 +584,7 @@ class TestBackgroundCalibration:
         assert 2.0 * ideal.emitter_coherence.real == pytest.approx(
             2.0 * coherence.real, abs=1e-12
         )
-        b = calibrate_background(ideal, beta).background_b
+        b = calibrate_background(ideal, beta)
         eta = default_eta(em, width)
         total = TwoSensorModel(em, width, center, eta, b).n1_pop
         alone = background_only_population(width, center, eta, b)
@@ -625,8 +646,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("irf", [None, GaussianIRF(fwhm=1.14)])
     def test_one_pipeline_per_solve(self, monkeypatch, irf):
-        # One b = 0 solve; beta = 0.2 displaces it to the calibrated b and
-        # shares its propagator, which only the IRF smear builds.
+        # One b = 0 solve; beta = 0.2 reads it out at the calibrated b, from
+        # its one propagator, which only the IRF smear builds.
         built = []
         propagators = []
 
@@ -648,8 +669,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("irf", [None, GaussianIRF(fwhm=1.14)])
     def test_sweep_point_leaves_no_cyclic_garbage(self, irf):
-        # Pipelines share arrays without reference cycles, so a point's
-        # memory is freed at once, not at the next cyclic collection.
+        # A pipeline and its propagator hold no reference cycles, so a
+        # point's memory is freed at once, not at the next cyclic collection.
         sweep_point(STRONG, "filter_width", 0.29, None, 0.0, 0.0, 0.2, irf)  # warm imports
         gc.collect()
         gc.disable()
@@ -703,10 +724,10 @@ class TestSweep:
         span = max(default_tau_grid(em, (width * gamma,))[-1], 8.0 * irf.fwhm)
         taus = np.linspace(0.0, span, max(2001, int(np.ceil(span / (irf.fwhm / 10.0))) + 1))
         head = taus[: kernel_half_width(irf.fwhm, taus[1]) + 1]
-        bounds = [calibrate_background(ideal, beta) for beta in (0.0, 0.2)]
-        smeared = filtercorr._g2_zero_convolved(bounds, irf)
-        for pipeline, got in zip(bounds, smeared):
-            trace = filtercorr.CorrelationTrace(taus=head, values=pipeline.g2_values(head))
+        bs = [calibrate_background(ideal, beta) for beta in (0.0, 0.2)]
+        smeared = filtercorr._g2_zero_convolved(ideal, bs, irf)
+        for b, got in zip(bs, smeared):
+            trace = filtercorr.CorrelationTrace(taus=head, values=ideal.g2_values(head, b))
             expected = irf_convolve(trace, irf).values[0]
             assert got == pytest.approx(expected, abs=1e-14)
 

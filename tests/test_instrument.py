@@ -99,6 +99,19 @@ class TestIrfConvolve:
         with pytest.raises(ValueError, match="uniform"):
             irf_convolve(trace, GaussianIRF(fwhm=10.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        trace = flat_trace(span=20.0, n=201)
+        trace.values[7] = bad
+        with pytest.raises(ValueError, match="trace.values contains non-finite samples"):
+            irf_convolve(trace, GaussianIRF(fwhm=1.0))
+
+    def test_rejects_values_off_the_grid(self):
+        trace = flat_trace(span=20.0, n=201)
+        trace.values = np.ones(200)
+        with pytest.raises(ValueError, match=r"trace.values has shape \(200,\), its grid \(201,\)"):
+            irf_convolve(trace, GaussianIRF(fwhm=1.0))
+
     def test_filtered_trace_integration(self):
         # IRF-limited antibunching: gamma = 20 ueV in ps units
         from filtered_rf.system import HBAR_UEV_PS
@@ -134,6 +147,20 @@ class TestSpectralIrf:
         out = spectral_irf_convolve(omegas, values, GaussianIRF(fwhm=1.5))
         above = omegas[out >= out.max() / 2.0]
         assert abs((above.max() - above.min()) - 1.5) < 0.05
+
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        # Unchecked, one NaN sample smeared into every output it reached.
+        values = np.ones(101)
+        values[50] = bad
+        with pytest.raises(ValueError, match="values contains non-finite samples"):
+            spectral_irf_convolve(np.linspace(-5.0, 5.0, 101), values, GaussianIRF(fwhm=1.0))
+
+    def test_rejects_values_off_the_grid(self):
+        # Unchecked, 4 samples on a 10-point grid gave back 4 values.
+        with pytest.raises(ValueError, match=r"values has shape \(4,\), its grid \(10,\)"):
+            spectral_irf_convolve(np.arange(10.0), np.ones(4), GaussianIRF(fwhm=20.0))
 
 
 class TestPresets:

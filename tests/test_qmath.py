@@ -185,6 +185,22 @@ class TestCorrelate:
             (p0, p1), (s0, s1) = probe, state
             assert np.allclose(row, p0 * s0 + (p0 * taus + p1) * s1, atol=1e-12)
 
+    def test_expm_rows_share_one_step_matrix(self, monkeypatch):
+        # On a uniform grid from 0 the expm path steps every state with one
+        # step matrix, not one per row.
+        expm = scipy.linalg.expm
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+        prop = qmath.Propagator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        assert prop.method == "expm"
+        probes = np.array([[1.0, 0.0], [2.0, -1.0j]])
+        states = np.array([[1.0, 1.0], [0.5j, 3.0]])
+        taus = np.linspace(0.0, 2.5, 11)
+        got = prop.correlate(probes, states, taus)
+        assert len(calls) == 1
+        for row, (p0, p1), (s0, s1) in zip(got, probes, states):
+            assert np.allclose(row, p0 * s0 + (p0 * taus + p1) * s1, atol=1e-12)
+
     @pytest.mark.parametrize(
         "probes, states, taus",
         [

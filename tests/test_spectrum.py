@@ -310,7 +310,7 @@ class TestFirstOrderPaths:
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
         g = 0.5 * width
         k = complex(g, center)
-        population = SensorPipeline(em, width, center).scaled_populations[0] / abs(k) ** 2
+        population = SensorPipeline(em, width, center).population() / abs(k) ** 2
         elastic, _, poles = _pole_components(em)
         passed = elastic * g**2 / (center**2 + g**2)
         passed += sum(g * (res / (k.conjugate() - lam)).real for res, lam in poles)
