@@ -105,12 +105,20 @@ def _real_part(g2, context):
     return g2.real.copy()
 
 
-# X_{p,q} but the steady state, by total excitation: sources come first.
-_LEVELS = sorted(((p, q) for p in range(3) for q in range(3)), key=sum)[1:]
-_KET_COUNTS, _BRA_COUNTS = np.array(_LEVELS).T
-# An excitation raised on the ket, sigma rho, and on the bra, rho sigma^dag.
-_SPRE_SIGMA = qmath.spre(SIGMA)
-_SPOST_SIGMA_DAG = qmath.spost(SIGMA.conj().T)
+# The sensor ladder at unit coupling.  Block 3 q + p holds X_{p,q}, with p
+# excitations on the sensor ket and q on the bra, and takes p times an
+# excitation raised on the ket, -i sigma X_{p-1,q}, and q times one raised
+# on the bra, i X_{p,q-1} sigma^dag.
+_RAISE = np.diag([1.0, 2.0], -1)  # _RAISE[n, n - 1] = n
+_COUPLING = qmath.kron(np.eye(3), qmath.kron(_RAISE, -1j * qmath.spre(SIGMA))) + qmath.kron(
+    _RAISE, qmath.kron(np.eye(3), 1j * qmath.spost(SIGMA.conj().T))
+)
+# The ladder's blocks by excitation level p + q = 1 ... 4; each level is
+# fed only by the one below it.
+_RUNGS = [np.flatnonzero(np.add.outer(range(3), range(3)).ravel() == n) for n in range(1, 5)]
+# The trace generator is the ladder's principal block over (Y00, Y10, Y01,
+# Y11), blocks 0, 1, 3 and 4.
+_TRACE_BLOCK = np.ix_(*[np.arange(36).reshape(9, 4)[[0, 1, 3, 4]].ravel()] * 2)
 _EYE = np.eye(4)
 # Row 2 i + j of the jump basis, i and j the jump sensor's ket and bra,
 # holds (Y00, Y10, Y01, Y11) with Y[s, s'] = X_{i+s, j+s'} in block 2 s' + s.
@@ -131,14 +139,18 @@ class SensorPipeline:
     sensor excitations on the ket and q on the bra, in units of
     (eta/m)^(p + q) with m = |k|, k = width/2 + i center the filter's
     response rate: both sensors filter the same field alike, so which sensor
-    holds an excitation does not matter.  At b = 0, X_{0,0} is the emitter's
-    closed-form steady state (:func:`emitter_state`), and each of the other
-    eight, p, q <= 2, solves
+    holds an excitation does not matter.  The counts climb one ladder, a
+    36x36 generator G over X_{p,q}, p, q <= 2, one term per excited sensor:
 
-        (p k + q conj(k) - L_e) X_{p,q} = -i m p sigma X_{p-1,q} + i m q X_{p,q-1} sigma^dag,
+        d/dt X_{p,q} = (L_e - p k - q conj(k)) X_{p,q} - i m p sigma X_{p-1,q} + i m q X_{p,q-1} sigma^dag.
 
-    one term per excited sensor.  Re(p k + q conj(k)) > 0, so every solve is
-    regular, exceptional points included; X_{q,p} = X_{p,q}^dag to rounding.
+    At b = 0 the hierarchy is G's stationary state: X_{0,0} is the emitter's
+    closed-form steady state (:func:`emitter_state`), and the other eight
+    follow level by level, p + q = 1 ... 4, each block solved with its own
+    4x4 matrix in one stacked solve per level.  Re(p k + q conj(k)) > 0, so
+    every solve is regular, exceptional points included; X_{q,p} =
+    X_{p,q}^dag to rounding.  The trace generator is G's block over
+    p, q <= 1, sliced when the first trace needs it.
 
     The background amplitude b is an argument of each read-out, not part of
     the pipeline: b only shifts each sensor amplitude by the c-number
@@ -153,9 +165,10 @@ class SensorPipeline:
 
         n(b) = Re(T[0] . w),    c(b) = Re(conj(w) . T . w),
 
-    and a trace is the same bilinear form, propagated (:func:`_g2_grid`).
-    ``emitter_coherence`` is the emitter's steady <sigma>; ``propagator``
-    is the trace propagator, None until the first trace builds it.
+    and a trace is the same bilinear form, propagated by the trace generator
+    (:func:`_g2_grid`).  ``emitter_coherence`` is the emitter's steady
+    <sigma>; ``propagator`` is the trace propagator, None until the first
+    trace builds it.
     """
 
     def __init__(self, emitter, filter_width, filter_center=0.0):
@@ -171,26 +184,24 @@ class SensorPipeline:
         self.emitter_coherence = complex(rho[1, 0])
 
         k = 0.5 * filter_width + 1j * filter_center
-        m = abs(k)
-        emit = -1j * m * _SPRE_SIGMA
-        absorb = 1j * m * _SPOST_SIGMA_DAG
-        x = np.empty((3, 3, 4), dtype=complex)
-        x[0, 0] = qmath.vec(rho)
-        kappas = _KET_COUNTS * k + _BRA_COUNTS * k.conjugate()
-        for (p, q), matrix in zip(_LEVELS, kappas[:, None, None] * _EYE - L):
-            # p equal ket terms sum exactly to p times one; the bra terms are
-            # added one by one, in the rounding of the sum over sensors.
-            source = p * (emit @ x[p - 1, q]) if p else 0.0
-            if q:
-                bra = absorb @ x[p, q - 1]
-                source = source + bra if q == 1 else source + bra + bra
-            x[p, q] = np.linalg.solve(matrix, source)
+        ladder = abs(k) * _COUPLING
+        kappas = np.add.outer(np.arange(3) * k.conjugate(), np.arange(3) * k).ravel()
+        blocks = ladder.reshape(9, 4, 9, 4)
+        blocks[range(9), :, range(9)] = L - kappas[:, None, None] * _EYE
+        # The stationary ladder, G x = 0, by block forward substitution: X_{0,0}
+        # is the closed-form steady state, and each higher level solves its
+        # own diagonal blocks against the level below, one stacked solve.
+        x = np.zeros((9, 4), dtype=complex)
+        x[0] = qmath.vec(rho)
+        for rung in _RUNGS:
+            source = ladder.reshape(9, 4, 36)[rung] @ x.ravel()
+            x[rung] = np.linalg.solve(blocks[rung, :, rung], -source[..., None])[..., 0]
 
-        self._components = x  # X_{p,q} at index [p, q]
-        self._jumps = x[_JUMP_COUNTS].reshape(4, 16)
+        self._components = x.reshape(3, 3, 4).swapaxes(0, 1)  # X_{p,q} at index [p, q]
+        self._jumps = self._components[_JUMP_COUNTS].reshape(4, 16)
         self._table = _BLOCK_TRACES @ self._jumps.T
         self._rate = k
-        self._blocks = (L, emit, absorb, k)
+        self._ladder = ladder
         self.propagator = None
 
     def _weights(self, bs):
@@ -223,26 +234,6 @@ class SensorPipeline:
         return _g2_grid(self, [b], taus)[0]
 
 
-def _block_triangular(diagonal, ket, bra, corner=0.0):
-    """A 16x16 matrix over (Y00, Y10, Y01, Y11) in the trace generator's
-    pattern: four diagonal blocks, ``ket`` at blocks (1, 0) and (3, 2),
-    ``bra`` at (2, 0) and (3, 1) and ``corner`` at (3, 0)."""
-    out = np.zeros((4, 4, 4, 4), dtype=complex)
-    for i, block in enumerate(diagonal):
-        out[i, :, i] = block
-    out[1, :, 0] = out[3, :, 2] = ket
-    out[2, :, 0] = out[3, :, 1] = bra
-    out[3, :, 0] = corner
-    return out.reshape(16, 16)
-
-
-def _trace_generator(L, emit, absorb, k):
-    """The b = 0 trace generator: L_e less the probe sensor's kappa in each
-    diagonal block, driven as in the hierarchy."""
-    shifts = (0.0, k, k.conjugate(), 2.0 * k.real)
-    return _block_triangular([L - s * _EYE for s in shifts], emit, absorb)
-
-
 def _trace_eigen(L, emit, absorb, k):
     """Eigenvalues and unit eigenvectors of the trace generator from one 4x4
     eigendecomposition L = V Lambda V^-1 of the emitter Liouvillian.
@@ -270,7 +261,12 @@ def _trace_eigen(L, emit, absorb, k):
         Wk = E / (gaps + k)
         Wkbar = A / (gaps + k.conjugate())
         W30 = (A @ Wk + E @ Wkbar) / (gaps + 2.0 * k.real)
-        evecs = _block_triangular([V] * 4, V @ Wk, V @ Wkbar, V @ W30)
+        evecs = np.zeros((4, 4, 4, 4), dtype=complex)
+        evecs[range(4), :, range(4)] = V
+        evecs[1, :, 0] = evecs[3, :, 2] = V @ Wk
+        evecs[2, :, 0] = evecs[3, :, 1] = V @ Wkbar
+        evecs[3, :, 0] = V @ W30
+        evecs = evecs.reshape(16, 16)
         evecs /= np.linalg.norm(evecs, axis=0)
     return evals, evecs
 
@@ -288,8 +284,10 @@ def _g2_grid(pipeline, bs, taus):
     w, tw = pipeline._weights(bs)
     norms = [_require_emission(n * n, "the sensor population product") for n in tw[:, 0].real]
     if pipeline.propagator is None:
-        blocks = pipeline._blocks
-        pipeline.propagator = qmath.Propagator(_trace_generator(*blocks), _trace_eigen(*blocks))
+        generator = pipeline._ladder[_TRACE_BLOCK]
+        L, emit, absorb, _ = generator[:, :4].reshape(4, 4, 4)
+        eigen = _trace_eigen(L, emit, absorb, pipeline._rate)
+        pipeline.propagator = qmath.Propagator(generator, eigen)
     rows = pipeline.propagator.correlate(w.conj() @ _BLOCK_TRACES, w @ pipeline._jumps, taus)
     return _real_part(rows / np.array(norms)[:, None], "filtered g2")
 

@@ -137,11 +137,20 @@ def irf_convolve(trace, irf):
     The trace is extended to negative delay by even symmetry, padded at
     both ends with its asymptotic value, convolved with the truncated and
     renormalized Gaussian kernel, and the nonnegative-delay part returned.
+    A tau grid shorter than the kernel's reach (5 sigma) raises ValueError.
     """
     dt = _uniform_spacing(trace.taus, "tau grid")
     if trace.taus[0] != 0.0:
         raise ValueError("tau grid must start at 0 for the even extension")
     values = _samples(trace.values, trace.taus, "trace.values")
+    # The smear at tau = 0 reads the kernel's whole reach, which the grid
+    # must cover: padding beyond its end is not the trace.
+    reach = kernel_half_width(irf.fwhm, dt)
+    if values.size - 1 < reach:
+        raise ValueError(
+            f"tau grid spans {trace.taus[-1]:.3g}, {values.size - 1} steps, short of the "
+            f"IRF kernel's reach of {reach} steps ({reach * dt:.3g}); extend the grid"
+        )
     # The even extension starts and ends with the asymptotic value values[-1].
     extended = np.concatenate([values[:0:-1], values])
     out = _smooth(extended, dt, irf, "tau grid")[values.size - 1 :]

@@ -107,6 +107,12 @@ class TestG2Trace:
         err = capsys.readouterr().err
         assert "filter.preset" in err and "filter.width_over_gamma" in err
 
+    def test_irf_longer_than_the_delay_grid_exits_one(self, tmp_path, capsys):
+        # A 37.5 ps IRF reaches 79.6 ps on each side, past a 10 ps grid.
+        code, _ = run(tmp_path, "g2-trace", "--filter-width", "150", "--irf", "--tau-max-ps", "10")
+        assert code == 1
+        assert "short of the IRF kernel's reach" in capsys.readouterr().err
+
     def test_preset_artifact_replays_to_the_same_bytes(self, tmp_path):
         # The embedded config holds both the preset and the width it set.
         code, first = run(tmp_path, "g2-trace", "--preset", "etalon", "--n-tau", "101")

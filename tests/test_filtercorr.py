@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filtered_rf import filtercorr, qmath
-from filtered_rf.dynamics import default_tau_grid, steady_state
+from filtered_rf.dynamics import SIGMA, default_tau_grid, emitter_state, steady_state
 from filtered_rf.filtercorr import (
     BackgroundCalibrationError,
     EtaConvergenceError,
@@ -24,10 +24,22 @@ from filtered_rf.filtercorr import (
 from filtered_rf.instrument import GaussianIRF, irf_convolve, kernel_half_width
 from filtered_rf.system import HBAR_UEV_PS, EmitterParams, SystemModel, build_liouvillian
 
-from oracles import background_only_population, bloch_g2, unfiltered_g2_closed_form
+from oracles import background_only_population, bloch_g2, bloch_rhs, unfiltered_g2_closed_form
 
 WEAK = EmitterParams(gamma=1.0, rabi=0.5)
 STRONG = EmitterParams(gamma=1.0, rabi=2.0)
+
+
+def hand_built_trace_generator(L, emit, absorb, k):
+    """The 16x16 trace generator over (Y00, Y10, Y01, Y11), block by block:
+    L_e less the probe sensor's kappa on the diagonal, ``emit`` raising the
+    probe's ket and ``absorb`` its bra."""
+    G = np.zeros((16, 16), dtype=complex)
+    for j, shift in enumerate((0.0, k, k.conjugate(), 2.0 * k.real)):
+        G[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = L - shift * np.eye(4)
+    G[4:8, :4] = G[12:16, 8:12] = emit
+    G[8:12, :4] = G[12:16, 4:8] = absorb
+    return G
 
 
 class TestUnfilteredG2:
@@ -278,9 +290,10 @@ class TestVanishingCouplingLimit:
         # The 64-dim reference keeps the sensors apart, so it must show the
         # symmetry itself: equal populations, and the same trace with the
         # jump and probe sensors exchanged; the pipeline's trace is that
-        # trace.  Below a width of about 0.05 a detuned filter leaves the
-        # reference's eigenbasis at conditions near 1e6, where its traces
-        # lose digits; the fixed narrow points above cover that region.
+        # trace.  Below a width of about 0.05 a detuned filter puts the
+        # reference's eigenbasis near condition 1e6, past COND_LIMIT, where
+        # its traces take the slower expm path; the fixed narrow points
+        # above cover that region.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
         ref = TwoSensorModel(em, width, center, 0.0, b)
         n1, n2 = ref.scaled_populations
@@ -308,6 +321,39 @@ class TestVanishingCouplingLimit:
         ops = x.reshape(3, 3, 2, 2).swapaxes(-1, -2)  # undo the column stacking
         gap = np.abs(ops.swapaxes(0, 1) - ops.conj().swapaxes(-1, -2)).max(axis=(-1, -2))
         assert np.all(gap <= 1e-10 * np.abs(ops).max(axis=(-1, -2)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rabi=st.floats(0.05, 20.0),
+        detuning=st.floats(-2.0, 2.0),
+        width=st.floats(0.01, 300.0),
+        center=st.floats(-3.0, 3.0),
+    )
+    # A narrow filter on a Mollow sideband, where one dense solve of the
+    # whole ladder leaves a residual near 2e-13 of this scale.
+    @example(rabi=2.7057, detuning=-0.01536, width=0.012167, center=2.3603)
+    def test_components_solve_the_hierarchy(self, rabi, detuning, width, center):
+        # Each X_{p,q} but the steady state solves, on the 2x2 operators,
+        #   (p k + q conj(k)) X_{p,q} - L_e[X_{p,q}]
+        #       = -i m p sigma X_{p-1,q} + i m q X_{p,q-1} sigma^dag,
+        # with L_e the Bloch equations.  Solved block by block, the residual
+        # stays within rounding of (|p k + q conj(k)| + ||L_e||) ||X|| + ||rhs||.
+        em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
+        ops = SensorPipeline(em, width, center)._components.reshape(3, 3, 2, 2).swapaxes(-1, -2)
+        k = complex(width / 2.0, center)
+        m = abs(k)
+        norm_L = np.linalg.norm([bloch_rhs(e, 1.0, rabi, detuning) for e in np.eye(4).reshape(4, 2, 2)])
+        for p, q in list(np.ndindex(3, 3))[1:]:
+            kappa = p * k + q * k.conjugate()
+            x = ops[p, q]
+            rhs = np.zeros((2, 2), dtype=complex)
+            if p:
+                rhs -= 1j * m * p * SIGMA @ ops[p - 1, q]
+            if q:
+                rhs += 1j * m * q * ops[p, q - 1] @ SIGMA.conj().T
+            residual = np.linalg.norm(kappa * x - bloch_rhs(x, 1.0, rabi, detuning) - rhs)
+            scale = (abs(kappa) + norm_L) * np.linalg.norm(x) + np.linalg.norm(rhs)
+            assert residual <= 1e-14 * scale, (p, q)
 
     @pytest.mark.parametrize(
         "rabi, width, center, b",
@@ -359,23 +405,30 @@ class TestVanishingCouplingLimit:
         assert np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) < 1e-8
 
     @pytest.mark.parametrize(
-        "rabi, width, center, b",
+        "gamma, rabi, width, center, b",
         [
-            pytest.param(0.25, 1.0, 0.0, 0.0, id="0.25"),
-            pytest.param(2.0, 1.0, 0.0, 0.0, id="2.0"),
-            pytest.param(0.25, 0.01, 2.0, 0.7, id="0.25-narrow-detuned-background"),
+            pytest.param(1.0, 0.25, 1.0, 0.0, 0.0, id="0.25"),
+            pytest.param(1.0, 2.0, 1.0, 0.0, 0.0, id="2.0"),
+            pytest.param(1.0, 0.25, 0.01, 2.0, 0.7, id="0.25-narrow-detuned-background"),
+            pytest.param(20.0 / HBAR_UEV_PS, 0.24999999, 0.1, -3.0, 0.0, id="near-threshold-detuned"),
         ],
     )
-    def test_limit_trace_where_generator_is_defective(self, rabi, width, center, b):
+    def test_limit_trace_where_generator_is_defective(self, gamma, rabi, width, center, b):
         # width = gamma, and rabi = gamma/4, make the eta = 0 generator
         # exactly defective; the trace must still come out real and match
         # the finite-coupling model.  The narrow detuned filter with
-        # background takes the expm path.
-        em = EmitterParams(gamma=1.0, rabi=rabi)
-        taus = np.linspace(0.0, 20.0, 81)
-        limit = SensorPipeline(em, width, center).g2_values(taus, b)
-        finite = TwoSensorModel(em, width, center, default_eta(em, width), b).g2_values(taus)
-        assert np.max(np.abs(limit - finite)) < 1e-5
+        # background takes the expm path.  Just below the threshold (here
+        # in the CLI's units, gamma = 20 ueV) the detuned filter's
+        # eigenbasis reads a condition near 7e4, past COND_LIMIT, so it
+        # takes expm too; through that eigenbasis its g2 would carry an
+        # imaginary part of 3e-9.
+        em = EmitterParams(gamma=gamma, rabi=rabi * gamma)
+        taus = np.linspace(0.0, 20.0 / gamma, 81)
+        pipe = SensorPipeline(em, width * gamma, center * gamma)
+        limit = pipe.g2_values(taus, b)
+        assert pipe.propagator.method == "expm"
+        ref = TwoSensorModel(em, width * gamma, center * gamma, default_eta(em, width * gamma), b)
+        assert np.max(np.abs(limit - ref.g2_values(taus))) < 1e-5
 
 
 class TestTraceEigendecomposition:
@@ -400,9 +453,10 @@ class TestTraceEigendecomposition:
         # 16x16 trace generator, with unit columns as numpy.linalg.eig gives.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning, laser_linewidth=linewidth)
         pipe = SensorPipeline(em, width, center)
-        L, _, _, k = pipe._blocks
-        G = filtercorr._trace_generator(*pipe._blocks)
-        eigen = evals, evecs = filtercorr._trace_eigen(*pipe._blocks)
+        G = pipe._ladder[filtercorr._TRACE_BLOCK]
+        L, emit, absorb, _ = G[:, :4].reshape(4, 4, 4)
+        k = pipe._rate
+        eigen = evals, evecs = filtercorr._trace_eigen(L, emit, absorb, k)
         method = qmath.Propagator(G, eigen).method
         differences = evals[None, :4] - evals[:4, None]
 
@@ -440,13 +494,29 @@ class TestTraceEigendecomposition:
                 emit[0, 1] = absorb[0, 1] = 0.0
             evals, evecs = filtercorr._trace_eigen(L, emit, absorb, 0.5 + 0j)
             assert not np.isfinite(evecs).all()
-            G = np.zeros((16, 16), dtype=complex)
-            for j, shift in enumerate((0.0, 0.5, 0.5, 1.0)):
-                G[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = L - shift * np.eye(4)
-            G[4:8, :4] = G[12:16, 8:12] = emit
-            G[8:12, :4] = G[12:16, 4:8] = absorb
+            G = hand_built_trace_generator(L, emit, absorb, 0.5 + 0j)
             prop = qmath.Propagator(G, (evals, evecs))
             assert prop.method == "expm" and prop.condition == np.inf
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rabi=st.floats(0.05, 20.0),
+        detuning=st.floats(-2.0, 2.0),
+        width=st.floats(0.01, 300.0),
+        center=st.floats(-3.0, 3.0),
+    )
+    def test_trace_generator_is_the_ladders_first_block(self, rabi, detuning, width, center):
+        # The propagator of a trace runs on the sensor ladder's principal
+        # block over p, q <= 1, entry for entry the generator built by hand.
+        em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
+        pipe = SensorPipeline(em, width, center)
+        pipe.g2_values(np.linspace(0.0, 1.0, 3))
+        k = 0.5 * width + 1j * center
+        emit = -1j * abs(k) * qmath.spre(SIGMA)
+        absorb = 1j * abs(k) * qmath.spost(SIGMA.conj().T)
+        expected = hand_built_trace_generator(emitter_state(em).liouvillian, emit, absorb, k)
+        assert np.array_equal(pipe.propagator.matrix, expected)
 
 
 class TestAbstractClaim:

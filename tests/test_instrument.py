@@ -9,6 +9,7 @@ from filtered_rf.instrument import (
     etalon_bandwidth,
     filter_preset,
     irf_convolve,
+    kernel_half_width,
     spectral_irf_convolve,
 )
 from filtered_rf.system import EmitterParams
@@ -91,6 +92,24 @@ class TestIrfConvolve:
     def test_rejects_coarse_grid(self):
         trace = flat_trace(span=20.0, n=21)
         with pytest.raises(ValueError, match="too coarse"):
+            irf_convolve(trace, GaussianIRF(fwhm=1.0))
+
+    def test_rejects_grid_shorter_than_the_kernel(self):
+        # fwhm 1 on steps of 0.01 reaches 5 sigma = 2.12, 213 steps, on
+        # each side: a grid to 2.0 would smear end padding into tau = 0.
+        trace = flat_trace(span=2.0, n=201)
+        with pytest.raises(ValueError, match="spans 2, 200 steps, short of the IRF kernel's reach of 213"):
+            irf_convolve(trace, GaussianIRF(fwhm=1.0))
+
+    def test_grid_that_meets_the_kernel_reach_is_accepted(self):
+        # The reach is compared in grid steps, so a grid that ends exactly
+        # at it passes whatever the rounding of its last delay.
+        reach = kernel_half_width(1.0, 0.01)
+        taus = np.arange(reach + 1) * 0.01
+        trace = CorrelationTrace(taus=taus, values=np.ones(taus.size), metadata={})
+        assert np.allclose(irf_convolve(trace, GaussianIRF(fwhm=1.0)).values, 1.0)
+        trace = CorrelationTrace(taus=taus[:-1], values=np.ones(reach), metadata={})
+        with pytest.raises(ValueError, match="short of the IRF kernel's reach"):
             irf_convolve(trace, GaussianIRF(fwhm=1.0))
 
     def test_rejects_nonuniform_grid(self):
