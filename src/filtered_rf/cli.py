@@ -227,7 +227,8 @@ def tau_grid(config, emitter, width):
 def omega_grid(config, emitter):
     grid = config["grid"]
     if grid["omega_max_ueV"] is None:
-        grid["omega_max_ueV"] = (2.0 * emitter.rabi + 10.0 * emitter.gamma) * HBAR_UEV_PS
+        sidebands = math.hypot(emitter.rabi, emitter.detuning)
+        grid["omega_max_ueV"] = (2.0 * sidebands + 10.0 * emitter.gamma) * HBAR_UEV_PS
     return np.linspace(-grid["omega_max_ueV"], grid["omega_max_ueV"], grid["n_omega"]) / HBAR_UEV_PS
 
 

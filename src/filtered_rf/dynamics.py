@@ -164,20 +164,20 @@ def first_order_coherence(params, taus):
     return _regress(L, sigma @ rho, sigma.conj().T, taus)
 
 
-def _default_span(emitter, filter_widths=()):
+def _default_span(emitter, filter_width=None):
     """The span of :func:`default_tau_grid`."""
     span = 20.0 / emitter.gamma
-    widths = [w for w in filter_widths if w is not None]
-    if widths:
-        span = max(span, 20.0 / min(widths))
+    if filter_width is not None:
+        span = max(span, 20.0 / filter_width)
     if emitter.rabi > 0.0:
         span = max(span, 10.0 * 2.0 * np.pi / emitter.rabi)
     return span
 
 
-def default_tau_grid(emitter, filter_widths=(), n=DEFAULT_TAU_POINTS):
+def default_tau_grid(emitter, filter_width=None):
     """Uniform tau grid covering emitter decay, filter response, and Rabi cycles.
 
-    Span = max(20/gamma, 20/min(filter widths), 10 Rabi periods).
+    Span = max(20/gamma, 20/filter_width, 10 Rabi periods), in
+    DEFAULT_TAU_POINTS points.
     """
-    return np.linspace(0.0, _default_span(emitter, filter_widths), n)
+    return np.linspace(0.0, _default_span(emitter, filter_width), DEFAULT_TAU_POINTS)

@@ -497,7 +497,7 @@ def filtered_g2(emitter, filter_width, filter_center=0.0, beta=0.0, taus=None):
             stacklevel=2,
         )
     if taus is None:
-        taus = default_tau_grid(emitter, (filter_width,))
+        taus = default_tau_grid(emitter, filter_width)
     taus = _check_taus(taus)
 
     pipeline = SensorPipeline(emitter, filter_width, filter_center)
@@ -528,7 +528,7 @@ def _g2_zero_convolved(pipeline, bs, irf):
     one sum of the detector kernel centred on tau = 0 over the even
     extension of each g2, sampled at the delay spacing that a full trace at
     this point would use.  The kernel grid is built once, for every b."""
-    span = max(_default_span(pipeline.emitter, (pipeline.filter_width,)), 8.0 * irf.fwhm)
+    span = max(_default_span(pipeline.emitter, pipeline.filter_width), 8.0 * irf.fwhm)
     n = max(DEFAULT_TAU_POINTS, int(np.ceil(span / (irf.fwhm / 10.0))) + 1)
     dt = span / (n - 1)
     kernel = _kernel(irf.fwhm, dt)

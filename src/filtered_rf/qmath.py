@@ -5,9 +5,10 @@ matrix, so the sandwich map rho -> A rho B turns into the matrix
 ``B^T (x) A`` acting on ``vec(rho)``.  Everything here is plain
 ``numpy.ndarray`` arithmetic; the physical problem never exceeds a
 Hilbert dimension of 8, so dense factorizations are essentially free.
-Every two-time correlation is read out as probe . exp(L tau) . state by
-:meth:`Propagator.correlate`, through the eigenbasis or by
-scaling-and-squaring as the propagator decides; callers never branch on it.
+Every evaluation of exp(L tau) is one read-out, probe . exp(L tau) . state,
+by :meth:`Propagator.correlate`: a pole sum through the eigenbasis, or one
+scaling-and-squaring walk along the tau grid when the eigenbasis is ill
+conditioned.  The propagator decides; callers never branch on it.
 """
 
 from __future__ import annotations
@@ -105,21 +106,21 @@ def sandwich(a, b):
 class Propagator:
     """Action of exp(L t) for a fixed generator L.
 
-    The generator is eigendecomposed once, L = V diag(lambda) V^-1, so
-    evaluating a dense tau grid afterwards costs one small matrix product.
-    A caller that knows the generator's structure may hand in the
+    :meth:`correlate` is the one read-out of exp(L tau): probe . exp(L tau)
+    . state on a tau grid, one row per pair.  The generator is
+    eigendecomposed once, L = V diag(lambda) V^-1, so a row is a sum of
+    poles.  A caller that knows the generator's structure may hand in the
     decomposition, ``eigen = (lambda, V)``; otherwise ``numpy.linalg.eig``
     computes it.  V^-1 is formed explicitly, once: it measures the
     condition number ||V||_1 ||V^-1||_1 and replaces a solve on every
-    apply.  If that condition exceeds COND_LIMIT (near-defective L, which
-    happens at parameter exceptional points) or V is not finite, the
-    instance falls back to scaling-and-squaring.  ``method`` records which
-    path is active and ``condition`` the condition number that the eig
-    path runs at (inf on the expm path); ``eigenvalues``, ``eigenvectors``
-    and ``inverse`` hold lambda, V and V^-1 on the eig path, None on the
-    expm path.  :meth:`correlate` is the read-out of every trace,
-    probe . exp(L tau) . state, a pole sum on the eig path;
-    :meth:`apply_grid` returns the propagated state itself.
+    read-out.  If that condition exceeds COND_LIMIT (near-defective L,
+    which happens at parameter exceptional points) or V is not finite, the
+    instance falls back to scaling-and-squaring along the grid.  ``method``
+    records which path is active and ``condition`` the condition number
+    that the eig path runs at (inf on the expm path); ``eigenvalues``,
+    ``eigenvectors`` and ``inverse`` hold lambda, V and V^-1 on the eig
+    path, None on the expm path.  :meth:`apply_grid` is the propagated
+    state itself, read out against the unit probes.
     """
 
     def __init__(self, generator, eigen=None):
@@ -142,25 +143,11 @@ class Propagator:
             self.eigenvectors = evecs
             self.inverse = inverse
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def apply_grid(self, v, taus):
-        """Return exp(L tau) v for every tau, as a (dim, len(taus)) array."""
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if v.size != self.dim:
-            raise ValueError(f"vector length {v.size} != generator dim {self.dim}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("input vector contains non-finite entries")
-        taus = np.asarray(taus, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(taus)):
-            raise ValueError("times contain non-finite entries")
-        if self.method == "eig":
-            w = self.inverse @ v
-            phases = np.exp(np.outer(self.eigenvalues, taus))
-            return self.eigenvectors @ (w[:, None] * phases)
-        return self._apply_grid_expm(v, taus)
+        """Return exp(L tau) v for every tau, as a (dim, len(taus)) array:
+        the :meth:`correlate` rows of the unit probes against v."""
+        probes = np.eye(len(self.matrix))
+        return self.correlate(probes, np.tile(np.ravel(v), (len(probes), 1)), taus)
 
     def correlate(self, probes, states, taus):
         """probes[i] . exp(L tau) states[i] for every tau, one row per pair.
@@ -169,44 +156,45 @@ class Propagator:
         c = (probes V)[i] (states V^-T)[i]; the poles are added one after
         another, elementwise, so the result does not depend on how a BLAS
         library would split a product.  The expm path propagates the states
-        as one block, one step matrix for all of them.
+        as one block along the grid, see :meth:`_expm_grid`.
         """
+        dim = len(self.matrix)
         probes = np.asarray(probes, dtype=complex)
         states = np.asarray(states, dtype=complex)
-        if probes.ndim != 2 or probes.shape != states.shape or probes.shape[1] != self.dim:
+        if probes.ndim != 2 or probes.shape != states.shape or probes.shape[1] != dim:
             raise ValueError(
-                f"probes {probes.shape} and states {states.shape} must both be (n, {self.dim})"
+                f"probes {probes.shape} and states {states.shape} must both be (n, {dim})"
             )
         taus = np.asarray(taus, dtype=float).reshape(-1)
         for name, a in (("probes", probes), ("states", states), ("times", taus)):
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} contain non-finite entries")
         if self.method != "eig":
-            evolved = self._apply_grid_expm(states.T, taus).transpose(1, 0, 2)
+            evolved = self._expm_grid(states.T, taus).transpose(1, 0, 2)
             return np.array([p @ block for p, block in zip(probes, evolved)])
         weights = (probes @ self.eigenvectors) * (states @ self.inverse.T)
         phases = np.exp(np.multiply.outer(self.eigenvalues, taus))
         return (weights[..., None] * phases).sum(axis=-2)
 
-    def _apply_grid_expm(self, states, taus):
-        """exp(L tau) states by scaling-and-squaring, for a (dim,) vector or
-        a (dim, n) block of states, with the tau axis appended.  A uniform
-        grid takes one step matrix for every state."""
+    def _expm_grid(self, states, taus):
+        """exp(L tau) states for a (dim, n) block, tau axis appended: one walk
+        from tau = 0 by scaling-and-squaring.  A step matrix is formed only
+        when the step changes by more than 1e-9 relative, so a uniform grid
+        from 0 takes one.  The walk cannot step backwards without amplifying
+        rounding."""
         import scipy.linalg  # deferred: only near-defective generators need it
 
+        steps = np.diff(taus, prepend=0.0)
+        if (steps < 0.0).any():
+            raise ValueError("the expm path needs a nonnegative, ascending tau grid")
         out = np.empty(states.shape + (taus.size,), dtype=complex)
-        steps = np.diff(taus)
-        uniform = taus.size > 2 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        if uniform:
-            cur = scipy.linalg.expm(self.matrix * taus[0]) @ states if taus[0] != 0.0 else states
-            step = scipy.linalg.expm(self.matrix * steps[0])
-            out[..., 0] = cur
-            for k in range(1, taus.size):
+        cur, h = states, 0.0
+        for k, d in enumerate(steps):
+            if d != 0.0:
+                if abs(d - h) > 1e-9 * h:
+                    step, h = scipy.linalg.expm(self.matrix * d), d
                 cur = step @ cur
-                out[..., k] = cur
-            return out
-        for k, t in enumerate(taus):
-            out[..., k] = states if t == 0.0 else scipy.linalg.expm(self.matrix * t) @ states
+            out[..., k] = cur
         return out
 
 

@@ -73,14 +73,6 @@ def coherent_fraction(emitter):
     return emitter_state(emitter).coherent_fraction
 
 
-def _sideband_splitting(emitter):
-    """Damped Rabi splitting sqrt(rabi^2 - (gamma/4)^2); None below threshold."""
-    arg = emitter.rabi**2 - (emitter.gamma / 4.0) ** 2
-    if arg <= 0.0:
-        return None
-    return math.sqrt(arg)
-
-
 def _classify(center, splitting):
     if splitting is None or abs(center) < 0.5 * splitting:
         return "rayleigh"
@@ -88,7 +80,15 @@ def _classify(center, splitting):
 
 
 def _pole_components(emitter):
-    """Elastic weight, total emission, and incoherent pole data (residue, eigenvalue)."""
+    """Elastic weight, total emission, and incoherent pole data (kind, residue,
+    eigenvalue).
+
+    The Bloch poles are one real pole and one conjugate pair; the pair's
+    |Im lambda| is the sideband splitting, sqrt(rabi^2 - (gamma/4)^2) at
+    resonance.  Below 1e-6 of the spectral radius the pair counts as real
+    (at rabi = gamma/4 eig splits the defective pair by under 1e-8 of it),
+    and every pole is Rayleigh.
+    """
     sigma, L, rho, _ = emitter_state(emitter)
     total = _require_emission(float(rho[1, 1].real), "the excited population")
     elastic = float(abs(rho[1, 0]) ** 2)
@@ -112,7 +112,10 @@ def _pole_components(emitter):
             f"zero-mode residue {elastic_residue:.3e} does not match "
             f"|<sigma>|^2 = {elastic:.3e}"
         )
-    return elastic, total, poles
+    splitting = max(abs(lam.imag) for _, lam in poles)
+    if splitting <= 1e-6 * scale:
+        splitting = None
+    return elastic, total, [(_classify(-lam.imag, splitting), res, lam) for res, lam in poles]
 
 
 def emission_spectrum(emitter, omegas):
@@ -121,7 +124,8 @@ def emission_spectrum(emitter, omegas):
     The incoherent part is the half-range Fourier transform of
     g1(tau) - |<sigma>|^2, evaluated through the Liouvillian poles; the
     coherent part is a Lorentzian of the laser linewidth.  The grid must
-    span at least +-max(5 gamma, 2 rabi + 5 gamma).
+    span at least +-(2 hypot(rabi, detuning) + 5 gamma); under detuned
+    drive the sidebands sit near +-hypot(rabi, detuning).
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     if omegas.size < 2 or not np.all(np.isfinite(omegas)):
@@ -129,7 +133,7 @@ def emission_spectrum(emitter, omegas):
             f"omega grid must hold at least 2 points, all finite; got {omegas.size} points, "
             f"{np.count_nonzero(~np.isfinite(omegas))} of them non-finite"
         )
-    need = max(5.0 * emitter.gamma, 2.0 * emitter.rabi + 5.0 * emitter.gamma)
+    need = 2.0 * math.hypot(emitter.rabi, emitter.detuning) + 5.0 * emitter.gamma
     if omegas.min() > -need or omegas.max() < need:
         raise ValueError(
             f"grid too narrow: need at least +-{need:.3g}, got "
@@ -142,8 +146,6 @@ def emission_spectrum(emitter, omegas):
         )
 
     elastic, total, poles = _pole_components(emitter)
-    splitting = _sideband_splitting(emitter)
-
     components = [
         SpectralComponent(
             kind="coherent",
@@ -154,14 +156,12 @@ def emission_spectrum(emitter, omegas):
         )
     ]
     values = _lorentzian(omegas, 0.0, emitter.laser_linewidth / 2.0) * elastic
-    for res, lam in poles:
-        center = -lam.imag
-        hwhm = -lam.real
+    for kind, res, lam in poles:
         components.append(
             SpectralComponent(
-                kind=_classify(center, splitting),
-                center=center,
-                hwhm=hwhm,
+                kind=kind,
+                center=-lam.imag,
+                hwhm=-lam.real,
                 weight=res.real / total,
                 residue=res,
             )
@@ -212,15 +212,13 @@ def filtered_fractions(emitter, filter_fwhm):
     """
     _check_filter_width(filter_fwhm)
     elastic, total, poles = _pole_components(emitter)
-    splitting = _sideband_splitting(emitter)
     g = filter_fwhm / 2.0
 
     areas = dict.fromkeys(COMPONENT_KINDS, 0.0)
     areas["coherent"] = elastic * lorentzian_transmission(
         emitter.laser_linewidth, filter_fwhm, 0.0
     )
-    for res, lam in poles:
-        kind = _classify(-lam.imag, splitting)
+    for kind, res, lam in poles:
         areas[kind] += g * (res / (g - lam)).real
     norm = sum(areas.values())
     return {kind: areas[kind] / norm for kind in COMPONENT_KINDS}

@@ -255,6 +255,20 @@ class TestSpectrum:
         coherent = next(c for c in components if c["kind"] == "coherent")
         assert coherent["weight"] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    def test_default_grid_spans_detuned_sidebands(self, tmp_path):
+        # Under detuned drive the sidebands sit near +-hypot(rabi, detuning);
+        # the default grid spans +-(2 hypot(rabi, detuning) + 10 gamma).
+        code, text = run(tmp_path, "spectrum", "--detuning", "20", "--rabi", "0.5", "--n-omega", "801")
+        assert code == 0
+        omegas = [float(w) for w in columns(text)["omega_ueV"]]
+        gamma_ueV = 20.0
+        assert omegas[-1] == -omegas[0] == pytest.approx((2.0 * np.hypot(0.5, 20.0) + 10.0) * gamma_ueV)
+        comp_line = next(l for l in text.splitlines() if l.startswith("# components: "))
+        components = json.loads(comp_line[len("# components: ") :])
+        centers = sorted(c["center_ueV"] for c in components if c["kind"].startswith("mollow"))
+        assert centers == pytest.approx([-400.125, 400.125], abs=1e-3)
+        assert omegas[0] + 10.0 * gamma_ueV < centers[0] and centers[1] < omegas[-1] - 10.0 * gamma_ueV
+
     def test_spectral_irf_column(self, tmp_path):
         code, text = run(
             tmp_path,

@@ -226,5 +226,5 @@ def test_default_tau_grid_spans():
     taus = default_tau_grid(em)
     assert taus[0] == 0.0 and taus.size == 2001
     assert np.isclose(taus[-1], max(10.0, 10 * 2 * np.pi))
-    taus = default_tau_grid(em, filter_widths=(0.05,))
+    taus = default_tau_grid(em, filter_width=0.05)
     assert np.isclose(taus[-1], 400.0)

@@ -298,7 +298,7 @@ class TestVanishingCouplingLimit:
         ref = TwoSensorModel(em, width, center, 0.0, b)
         n1, n2 = ref.scaled_populations
         assert n1 == pytest.approx(n2, rel=1e-12)
-        taus = np.linspace(0.0, default_tau_grid(em, (width,))[-1], 41)
+        taus = np.linspace(0.0, default_tau_grid(em, width)[-1], 41)
         forward = ref.g2_values(taus, jump_sensor=0, probe_sensor=1)
         swapped = ref.g2_values(taus, jump_sensor=1, probe_sensor=0)
         scale = np.maximum(1.0, np.abs(forward))
@@ -371,7 +371,7 @@ class TestVanishingCouplingLimit:
     )
     def test_trace_matches_two_sensor_limit(self, rabi, width, center, b):
         em = EmitterParams(gamma=1.0, rabi=rabi)
-        taus = default_tau_grid(em, (width,))
+        taus = default_tau_grid(em, width)
         got = SensorPipeline(em, width, center).g2_values(taus, b)
         ref = TwoSensorModel(em, width, center, 0.0, b).g2_values(taus)
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-8
@@ -400,7 +400,7 @@ class TestVanishingCouplingLimit:
         b = calibrate_background(pipe, 0.2)
         ref = TwoSensorModel(em, width, center, 0.0, b)
         assert pipe.g2_zero(b) == pytest.approx(ref.g2_zero(), rel=1e-12)
-        taus = default_tau_grid(em, (width,))
+        taus = default_tau_grid(em, width)
         got, expected = pipe.g2_values(taus, b), ref.g2_values(taus)
         assert np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) < 1e-8
 
@@ -562,6 +562,26 @@ class TestBroadFilterLimit:
         taus = default_tau_grid(em)
         gap = np.max(np.abs(filtered_g2(em, width, taus=taus).values - unfiltered_g2(em, taus).values))
         assert gap <= rates / width
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_gamma=st.floats(-2.0, 2.0),
+        log_rabi=st.floats(-3.0, 1.5),
+        detuning=st.floats(-3.0, 3.0),
+        center=st.floats(-3.0, 3.0),
+        log_f=st.floats(2.0, 5.0),
+    )
+    def test_broad_filter_gives_the_unfiltered_g2_zero(self, log_gamma, log_rabi, detuning, center, log_f):
+        # The bare emitter's g2(0) is 0.  A filter of width W = f s, s the
+        # largest of gamma, rabi, |detuning| and |center|, lets through a
+        # g2(0) of order (s / W)^2: at most 6.8 (s / W)^2 over 8000 draws,
+        # flat from f = 1e2 to 1e5.
+        gamma = 10.0**log_gamma
+        em = EmitterParams(gamma=gamma, rabi=10.0**log_rabi * gamma, detuning=detuning * gamma)
+        scale = max(gamma, em.rabi, abs(em.detuning), abs(center * gamma))
+        width = 10.0**log_f * scale
+        assert SensorPipeline(em, width, center * gamma).g2_zero() <= 10.0 * (scale / width) ** 2
 
 
 class TestMirrorSymmetry:
@@ -776,7 +796,7 @@ class TestSweep:
         em = EmitterParams(gamma=gamma, rabi=0.5 * gamma)
         irf = GaussianIRF(fwhm=37.5)
         row = sweep_point(em, "filter_width", width * gamma, None, 0.0, 0.0, 0.2, irf)
-        span = max(default_tau_grid(em, (width * gamma,))[-1], 8.0 * irf.fwhm)
+        span = max(default_tau_grid(em, width * gamma)[-1], 8.0 * irf.fwhm)
         taus = np.linspace(0.0, span, max(2001, int(np.ceil(span / (irf.fwhm / 10.0))) + 1))
         for key, beta in (("g2_lo", 0.0), ("g2_hi", 0.2)):
             full = filtered_g2(em, width * gamma, beta=beta, taus=taus)
@@ -791,7 +811,7 @@ class TestSweep:
         em = EmitterParams(gamma=gamma, rabi=rabi * gamma)
         irf = GaussianIRF(fwhm=37.5)
         ideal = SensorPipeline(em, width * gamma)
-        span = max(default_tau_grid(em, (width * gamma,))[-1], 8.0 * irf.fwhm)
+        span = max(default_tau_grid(em, width * gamma)[-1], 8.0 * irf.fwhm)
         taus = np.linspace(0.0, span, max(2001, int(np.ceil(span / (irf.fwhm / 10.0))) + 1))
         head = taus[: kernel_half_width(irf.fwhm, taus[1]) + 1]
         bs = [calibrate_background(ideal, beta) for beta in (0.0, 0.2)]

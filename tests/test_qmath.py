@@ -159,16 +159,17 @@ class TestPropagatorFallback:
 
 
 class TestCorrelate:
-    def test_eig_rows_match_apply_grid(self):
+    def test_eig_rows_match_expm(self):
         rng = np.random.default_rng(11)
-        prop = qmath.Propagator(random_lindblad(3, rng))
+        L = random_lindblad(3, rng)
+        prop = qmath.Propagator(L)
         assert prop.method == "eig" and prop.condition < 1e3
         probes, states = rng.normal(size=(2, 3, 9)) + 1j * rng.normal(size=(2, 3, 9))
         taus = np.linspace(0.0, 4.0, 41)
         got = prop.correlate(probes, states, taus)
         assert got.shape == (3, taus.size)
         for row, probe, state in zip(got, probes, states):
-            expected = probe @ prop.apply_grid(state, taus)
+            expected = np.array([probe @ scipy.linalg.expm(L * t) @ state for t in taus])
             assert np.max(np.abs(row - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_defective_generator_rows_match_apply_grid(self):
@@ -200,6 +201,51 @@ class TestCorrelate:
         assert len(calls) == 1
         for row, (p0, p1), (s0, s1) in zip(got, probes, states):
             assert np.allclose(row, p0 * s0 + (p0 * taus + p1) * s1, atol=1e-12)
+
+    def test_expm_walk_forms_one_step_matrix_per_step(self, monkeypatch):
+        # A piecewise-uniform grid walks from tau = 0 and forms a new step
+        # matrix only where the step changes: three here, for steps 0.1,
+        # 0.25 and 0.1 again.  A grid that does not start at 0 but whose
+        # first point equals its step takes one.
+        expm = scipy.linalg.expm
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+        prop = qmath.Propagator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        assert prop.method == "expm"
+        probes = np.array([[1.0, 0.0], [2.0, -1.0j]])
+        states = np.array([[1.0, 1.0], [0.5j, 3.0]])
+        taus = np.concatenate(
+            [np.linspace(0.0, 1.0, 11), 1.0 + 0.25 * np.arange(1, 5), 2.0 + 0.1 * np.arange(1, 4)]
+        )
+        got = prop.correlate(probes, states, taus)
+        assert len(calls) == 3
+        for row, (p0, p1), (s0, s1) in zip(got, probes, states):
+            assert np.allclose(row, p0 * s0 + (p0 * taus + p1) * s1, atol=1e-12)
+        calls.clear()
+        prop.correlate(probes, states, [0.5, 1.0, 1.5, 1.5, 2.0])
+        assert len(calls) == 1
+
+    def test_expm_walk_matches_expm_per_delay(self):
+        # At the exceptional point rabi = gamma/4 the walk along a random
+        # ascending grid stays within 1e-14 of one expm per delay.
+        L = build_liouvillian(SystemModel(EmitterParams(gamma=1.0, rabi=0.25)))
+        prop = qmath.Propagator(L)
+        assert prop.method == "expm"
+        rng = np.random.default_rng(13)
+        probes, states = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        for _ in range(5):
+            taus = np.sort(rng.uniform(0.0, 20.0, 30))
+            got = prop.correlate(probes, states, taus)
+            for row, probe, state in zip(got, probes, states):
+                expected = np.array([probe @ scipy.linalg.expm(L * t) @ state for t in taus])
+                assert np.max(np.abs(row - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("taus", [[-0.1, 0.5, 1.0], [0.0, 1.0, 0.5], [2.0, 1.0]])
+    def test_expm_walk_rejects_negative_or_descending_grid(self, taus):
+        prop = qmath.Propagator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        assert prop.method == "expm"
+        with pytest.raises(ValueError, match="ascending"):
+            prop.correlate(np.eye(2), np.eye(2), taus)
 
     @pytest.mark.parametrize(
         "probes, states, taus",

@@ -166,6 +166,60 @@ class TestEmissionSpectrum:
             emission_spectrum(em, self.grid())
 
 
+class TestSidebandKinds:
+    """The kinds come from L_e's own poles: the conjugate pair is a pair of
+    sidebands once its splitting exceeds 1e-6 of the spectral radius."""
+
+    @staticmethod
+    def spectrum(em):
+        span = 2.0 * np.hypot(em.rabi, em.detuning) + 6.0 * em.gamma
+        return emission_spectrum(em, np.linspace(-span, span, 101))
+
+    def test_detuned_sidebands_below_the_resonant_threshold(self):
+        # rabi 0.2 gamma lies below gamma/4, but under detuning 5 gamma the
+        # incoherent pair sits at +-5.004 gamma: Mollow sidebands, not Rayleigh.
+        em = EmitterParams(gamma=1.0, rabi=0.2, detuning=5.0, laser_linewidth=5e-4)
+        centers = {c.kind: c.center for c in self.spectrum(em).components}
+        assert sorted(centers) == ["coherent", "mollow_blue", "mollow_red", "rayleigh"]
+        assert centers["mollow_red"] == pytest.approx(-5.004, abs=1e-3)
+        assert centers["mollow_blue"] == pytest.approx(5.004, abs=1e-3)
+        assert abs(centers["rayleigh"]) < 1e-12
+        fr = filtered_fractions(em, 1.0)
+        assert fr["mollow_red"] == pytest.approx(fr["mollow_blue"], rel=1e-9)
+        assert fr["mollow_red"] > 10.0 * fr["rayleigh"]
+        assert fr["mollow_red"] + fr["mollow_blue"] + fr["rayleigh"] == pytest.approx(
+            1.0 - fr["coherent"], rel=1e-9
+        )
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("rabi", [0.2501, 0.26, 0.5, 2.0, 10.0])
+    def test_resonant_centres_follow_the_damped_rabi_splitting(self, gamma, rabi):
+        em = EmitterParams(gamma=gamma, rabi=rabi * gamma, laser_linewidth=5e-4 * gamma)
+        splitting = gamma * np.sqrt(rabi**2 - 1.0 / 16.0)
+        centers = {c.kind: c.center for c in self.spectrum(em).components}
+        assert sorted(centers) == ["coherent", "mollow_blue", "mollow_red", "rayleigh"]
+        assert centers["mollow_red"] == pytest.approx(-splitting, rel=1e-11)
+        assert centers["mollow_blue"] == pytest.approx(splitting, rel=1e-11)
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("rabi", [0.05, 0.2, 0.2499, 0.25])
+    def test_every_pole_is_rayleigh_up_to_the_threshold(self, gamma, rabi):
+        # rabi = gamma/4 is the exceptional point: eig splits the defective
+        # pair by under 1e-8 of the spectral radius, which stays unsplit.
+        em = EmitterParams(gamma=gamma, rabi=rabi * gamma, laser_linewidth=5e-4 * gamma)
+        kinds = [c.kind for c in self.spectrum(em).components]
+        assert kinds == ["coherent", "rayleigh", "rayleigh", "rayleigh"]
+        fr = filtered_fractions(em, gamma)
+        assert fr["mollow_red"] == fr["mollow_blue"] == 0.0
+
+    def test_grid_must_span_the_detuned_sidebands(self):
+        # The sidebands sit near +-hypot(rabi, detuning) = +-20.006 gamma.
+        em = EmitterParams(gamma=1.0, rabi=0.5, detuning=20.0, laser_linewidth=5e-4)
+        with pytest.raises(ValueError, match=r"grid too narrow: need at least \+-45"):
+            emission_spectrum(em, np.linspace(-6.0, 6.0, 101))
+        assert {c.kind for c in self.spectrum(em).components} >= {"mollow_red", "mollow_blue"}
+
+
 class TestLorentzianTransmission:
     def test_monochromatic_line_fully_transmitted(self):
         assert lorentzian_transmission(0.0, 1.0, 0.0) == 1.0
@@ -313,5 +367,5 @@ class TestFirstOrderPaths:
         population = SensorPipeline(em, width, center).population() / abs(k) ** 2
         elastic, _, poles = _pole_components(em)
         passed = elastic * g**2 / (center**2 + g**2)
-        passed += sum(g * (res / (k.conjugate() - lam)).real for res, lam in poles)
+        passed += sum(g * (res / (k.conjugate() - lam)).real for _, res, lam in poles)
         assert population == pytest.approx(passed / g**2, rel=1e-10)
