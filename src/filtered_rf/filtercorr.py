@@ -105,20 +105,15 @@ def _real_part(g2, context):
     return g2.real.copy()
 
 
-# The sensor ladder at unit coupling.  Block 3 q + p holds X_{p,q}, with p
-# excitations on the sensor ket and q on the bra, and takes p times an
-# excitation raised on the ket, -i sigma X_{p-1,q}, and q times one raised
-# on the bra, i X_{p,q-1} sigma^dag.
-_RAISE = np.diag([1.0, 2.0], -1)  # _RAISE[n, n - 1] = n
-_COUPLING = qmath.kron(np.eye(3), qmath.kron(_RAISE, -1j * qmath.spre(SIGMA))) + qmath.kron(
-    _RAISE, qmath.kron(np.eye(3), 1j * qmath.spost(SIGMA.conj().T))
+# The trace generator's coupling at unit rate over (Y00, Y10, Y01, Y11),
+# block 2 q + p holding Y[p, q]: -i sigma raises the probe sensor's ket and
+# i sigma^dag its bra.
+_LIFT = np.diag([1.0], -1)
+_TRACE_COUPLING = qmath.kron(np.eye(2), qmath.kron(_LIFT, -1j * qmath.spre(SIGMA))) + qmath.kron(
+    _LIFT, qmath.kron(np.eye(2), 1j * qmath.spost(SIGMA.conj().T))
 )
-# The ladder's blocks by excitation level p + q = 1 ... 4; each level is
-# fed only by the one below it.
-_RUNGS = [np.flatnonzero(np.add.outer(range(3), range(3)).ravel() == n) for n in range(1, 5)]
-# The trace generator is the ladder's principal block over (Y00, Y10, Y01,
-# Y11), blocks 0, 1, 3 and 4.
-_TRACE_BLOCK = np.ix_(*[np.arange(36).reshape(9, 4)[[0, 1, 3, 4]].ravel()] * 2)
+# The blocks X_{p,q} solved, level by level; X_{q,p} is X_{p,q}^dag.
+_SOLVED = ((1, 0), (2, 0), (1, 1), (2, 1), (2, 2))
 _EYE = np.eye(4)
 # Row 2 i + j of the jump basis, i and j the jump sensor's ket and bra,
 # holds (Y00, Y10, Y01, Y11) with Y[s, s'] = X_{i+s, j+s'} in block 2 s' + s.
@@ -130,6 +125,72 @@ _TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
 _BLOCK_TRACES = np.kron(np.eye(4), _TRACE_ROW)
 
 
+def _hierarchy(L, rho, k):
+    """The stationary sensor hierarchy X_{p,q}, p, q <= 2, at index [p, q],
+    each a column-stacked 4-vector (gg, eg, ge, ee), from the emitter
+    Liouvillian L, its steady state rho and the filter rate k.
+
+    X_{0,0} = rho, and each other block solves (kappa - L) X_{p,q} = S,
+    kappa = p k + q conj(k), with the source S = -i m p sigma X_{p-1,q}
+    + i m q X_{p,q-1} sigma^dag, m = |k|.  L keeps the trace, so t = x_gg
+    + x_ee = (s_gg + s_ee) / kappa, and with w = i rabi/2, v = -w and the
+    coherences' rates eg, ge read from L the rows eliminate by hand:
+
+        x_ee = [s_ee + w (s_eg + v t)/(kappa - eg) + v (s_ge + w t)/(kappa - ge)] / D,
+        D = kappa + gamma + (rabi^2/2) (1/(kappa - eg) + 1/(kappa - ge)),
+
+    x_eg = (s_eg + v t + 2 w x_ee)/(kappa - eg), x_ge = (s_ge + w t - 2 w x_ee)
+    /(kappa - ge) and x_gg = t - x_ee.  One refinement pass applies the same
+    formulas to the residual against the nonzero entries of L's rows.
+    Re kappa >= width/2 > 0 while L's eigenvalues have Re <= 0, so no pivot
+    vanishes: D is det(kappa - L) / (kappa (kappa - eg)(kappa - ge)).  The
+    blocks with p >= q are solved level by level, p + q = 1 ... 4, and
+    X_{q,p} is formed as X_{p,q}^dag.
+    """
+    (_, v, w, gamma), (l10, eg, _, l13), (l20, _, ge, l23), (_, l31, l32, l33) = L.tolist()
+    rabi2 = 2.0 * v * w  # rabi^2 / 2
+    im = 1j * abs(k)
+
+    def solve(kappa, s):
+        deg, dge = kappa - eg, kappa - ge
+        D = kappa + gamma + rabi2 * (1.0 / deg + 1.0 / dge)
+
+        def eliminate(s_gg, s_eg, s_ge, s_ee):
+            t = (s_gg + s_ee) / kappa
+            a, b = s_eg + v * t, s_ge + w * t
+            ee = (s_ee + w * a / deg + v * b / dge) / D
+            return t - ee, (a + 2.0 * w * ee) / deg, (b - 2.0 * w * ee) / dge, ee
+
+        x0, x1, x2, x3 = eliminate(*s)
+        d0, d1, d2, d3 = eliminate(
+            s[0] - kappa * x0 + (v * x1 + w * x2 + gamma * x3),
+            s[1] - kappa * x1 + (l10 * x0 + eg * x1 + l13 * x3),
+            s[2] - kappa * x2 + (l20 * x0 + ge * x2 + l23 * x3),
+            s[3] - kappa * x3 + (l31 * x1 + l32 * x2 + l33 * x3),
+        )
+        return [x0 + d0, x1 + d1, x2 + d2, x3 + d3]
+
+    x = {(0, 0): qmath.vec(rho).tolist()}
+    for p, q in _SOLVED:
+        a = x[p - 1, q]
+        b = x[p, q - 1] if q else (0j,) * 4
+        source = (im * q * b[2] - im * p * a[1], im * q * b[3], -im * p * a[3], 0j)
+        x[p, q] = solve(p * k + q * k.conjugate(), source)
+        if p != q:  # vec(X^dag) is conj(gg, ge, eg, ee)
+            x[q, p] = [x[p, q][i].conjugate() for i in (0, 2, 1, 3)]
+    return np.array([z for p in range(3) for q in range(3) for z in x[p, q]]).reshape(3, 3, 4)
+
+
+def _trace_generator(L, k):
+    """The 16x16 trace generator over (Y00, Y10, Y01, Y11): L less the
+    probe sensor's kappa = 0, k, conj(k), 2 Re k on the diagonal blocks,
+    and -i m sigma, i m sigma^dag raising its ket and bra."""
+    generator = abs(k) * _TRACE_COUPLING
+    shifts = np.array([0.0, k, k.conjugate(), 2.0 * k.real])
+    generator.reshape(4, 4, 4, 4)[range(4), :, range(4)] = L - shifts[:, None, None] * _EYE
+    return generator
+
+
 class SensorPipeline:
     """Two identical sensors in the exact vanishing-coupling limit, solved
     once, at zero laser background.
@@ -139,18 +200,19 @@ class SensorPipeline:
     sensor excitations on the ket and q on the bra, in units of
     (eta/m)^(p + q) with m = |k|, k = width/2 + i center the filter's
     response rate: both sensors filter the same field alike, so which sensor
-    holds an excitation does not matter.  The counts climb one ladder, a
-    36x36 generator G over X_{p,q}, p, q <= 2, one term per excited sensor:
+    holds an excitation does not matter.  For p, q <= 2, one term per
+    excited sensor,
 
         d/dt X_{p,q} = (L_e - p k - q conj(k)) X_{p,q} - i m p sigma X_{p-1,q} + i m q X_{p,q-1} sigma^dag.
 
-    At b = 0 the hierarchy is G's stationary state: X_{0,0} is the emitter's
+    At b = 0 the hierarchy is stationary: X_{0,0} is the emitter's
     closed-form steady state (:func:`emitter_state`), and the other eight
-    follow level by level, p + q = 1 ... 4, each block solved with its own
-    4x4 matrix in one stacked solve per level.  Re(p k + q conj(k)) > 0, so
-    every solve is regular, exceptional points included; X_{q,p} =
-    X_{p,q}^dag to rounding.  The trace generator is G's block over
-    p, q <= 1, sliced when the first trace needs it.
+    follow level by level, p + q = 1 ... 4, each 4x4 block eliminated by
+    hand on the Bloch equations and refined once (:func:`_hierarchy`).
+    Re(p k + q conj(k)) > 0, so every block is regular, exceptional points
+    included.  Only p >= q is solved; X_{q,p} is formed as X_{p,q}^dag.
+    The trace generator, these equations over p, q <= 1, is built when the
+    first trace needs it (:func:`_trace_generator`).
 
     The background amplitude b is an argument of each read-out, not part of
     the pipeline: b only shifts each sensor amplitude by the c-number
@@ -184,24 +246,11 @@ class SensorPipeline:
         self.emitter_coherence = complex(rho[1, 0])
 
         k = 0.5 * filter_width + 1j * filter_center
-        ladder = abs(k) * _COUPLING
-        kappas = np.add.outer(np.arange(3) * k.conjugate(), np.arange(3) * k).ravel()
-        blocks = ladder.reshape(9, 4, 9, 4)
-        blocks[range(9), :, range(9)] = L - kappas[:, None, None] * _EYE
-        # The stationary ladder, G x = 0, by block forward substitution: X_{0,0}
-        # is the closed-form steady state, and each higher level solves its
-        # own diagonal blocks against the level below, one stacked solve.
-        x = np.zeros((9, 4), dtype=complex)
-        x[0] = qmath.vec(rho)
-        for rung in _RUNGS:
-            source = ladder.reshape(9, 4, 36)[rung] @ x.ravel()
-            x[rung] = np.linalg.solve(blocks[rung, :, rung], -source[..., None])[..., 0]
-
-        self._components = x.reshape(3, 3, 4).swapaxes(0, 1)  # X_{p,q} at index [p, q]
+        self._components = _hierarchy(L, rho, k)
         self._jumps = self._components[_JUMP_COUNTS].reshape(4, 16)
         self._table = _BLOCK_TRACES @ self._jumps.T
         self._rate = k
-        self._ladder = ladder
+        self._liouvillian = L
         self.propagator = None
 
     def _weights(self, bs):
@@ -284,7 +333,7 @@ def _g2_grid(pipeline, bs, taus):
     w, tw = pipeline._weights(bs)
     norms = [_require_emission(n * n, "the sensor population product") for n in tw[:, 0].real]
     if pipeline.propagator is None:
-        generator = pipeline._ladder[_TRACE_BLOCK]
+        generator = _trace_generator(pipeline._liouvillian, pipeline._rate)
         L, emit, absorb, _ = generator[:, :4].reshape(4, 4, 4)
         eigen = _trace_eigen(L, emit, absorb, pipeline._rate)
         pipeline.propagator = qmath.Propagator(generator, eigen)

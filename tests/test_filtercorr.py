@@ -315,12 +315,12 @@ class TestVanishingCouplingLimit:
     )
     def test_components_pair_as_adjoints(self, rabi, detuning, width, center):
         # The bra side of the hierarchy is the adjoint of the ket side, so
-        # X_{q,p} = X_{p,q}^dag, to 1e-10 of each component's largest entry.
+        # X_{q,p} = X_{p,q}^dag, bit for bit: each X_{q,p} with q < p is
+        # formed as that adjoint, and each X_{p,p} comes out Hermitian.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
         x = SensorPipeline(em, width, center)._components
         ops = x.reshape(3, 3, 2, 2).swapaxes(-1, -2)  # undo the column stacking
-        gap = np.abs(ops.swapaxes(0, 1) - ops.conj().swapaxes(-1, -2)).max(axis=(-1, -2))
-        assert np.all(gap <= 1e-10 * np.abs(ops).max(axis=(-1, -2)))
+        assert np.array_equal(ops.swapaxes(0, 1), ops.conj().swapaxes(-1, -2))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -329,14 +329,23 @@ class TestVanishingCouplingLimit:
         width=st.floats(0.01, 300.0),
         center=st.floats(-3.0, 3.0),
     )
-    # A narrow filter on a Mollow sideband, where one dense solve of the
-    # whole ladder leaves a residual near 2e-13 of this scale.
+    # A narrow filter on a Mollow sideband, where a dense solve of all the
+    # blocks at once leaves a residual near 2e-13 of this scale.
     @example(rabi=2.7057, detuning=-0.01536, width=0.012167, center=2.3603)
+    # A strong drive and a narrow filter, where one elimination pass
+    # without its refinement leaves a residual near 1.1e-14 of this scale.
+    @example(
+        rabi=16.42984724272584,
+        detuning=0.03415789107508749,
+        width=0.016876380001733998,
+        center=2.812576636350384,
+    )
     def test_components_solve_the_hierarchy(self, rabi, detuning, width, center):
         # Each X_{p,q} but the steady state solves, on the 2x2 operators,
         #   (p k + q conj(k)) X_{p,q} - L_e[X_{p,q}]
         #       = -i m p sigma X_{p-1,q} + i m q X_{p,q-1} sigma^dag,
-        # with L_e the Bloch equations.  Solved block by block, the residual
+        # with L_e the Bloch equations.  Each block eliminated by hand and
+        # refined once against L_e's rows, the residual
         # stays within rounding of (|p k + q conj(k)| + ||L_e||) ||X|| + ||rhs||.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
         ops = SensorPipeline(em, width, center)._components.reshape(3, 3, 2, 2).swapaxes(-1, -2)
@@ -453,7 +462,7 @@ class TestTraceEigendecomposition:
         # 16x16 trace generator, with unit columns as numpy.linalg.eig gives.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning, laser_linewidth=linewidth)
         pipe = SensorPipeline(em, width, center)
-        G = pipe._ladder[filtercorr._TRACE_BLOCK]
+        G = filtercorr._trace_generator(pipe._liouvillian, pipe._rate)
         L, emit, absorb, _ = G[:, :4].reshape(4, 4, 4)
         k = pipe._rate
         eigen = evals, evecs = filtercorr._trace_eigen(L, emit, absorb, k)
@@ -507,8 +516,8 @@ class TestTraceEigendecomposition:
         center=st.floats(-3.0, 3.0),
     )
     def test_trace_generator_is_the_ladders_first_block(self, rabi, detuning, width, center):
-        # The propagator of a trace runs on the sensor ladder's principal
-        # block over p, q <= 1, entry for entry the generator built by hand.
+        # The propagator of a trace runs on the hierarchy's generator over
+        # p, q <= 1, entry for entry the generator built by hand.
         em = EmitterParams(gamma=1.0, rabi=rabi, detuning=detuning)
         pipe = SensorPipeline(em, width, center)
         pipe.g2_values(np.linspace(0.0, 1.0, 3))
@@ -737,9 +746,19 @@ class TestSweep:
     @pytest.mark.parametrize("irf", [None, GaussianIRF(fwhm=1.14)])
     def test_one_pipeline_per_solve(self, monkeypatch, irf):
         # One b = 0 solve; beta = 0.2 reads it out at the calibrated b, from
-        # its one propagator, which only the IRF smear builds.
+        # its one propagator, which only the IRF smear builds, on the one
+        # trace generator.  A zero-delay point makes no LAPACK solve.
         built = []
         propagators = []
+        generators = []
+        trace_generator = filtercorr._trace_generator
+
+        def counting_generator(*args):
+            generators.append(args)
+            return trace_generator(*args)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
 
         class CountingPipeline(SensorPipeline):
             def __init__(self, *args, **kwargs):
@@ -753,9 +772,12 @@ class TestSweep:
 
         monkeypatch.setattr(filtercorr, "SensorPipeline", CountingPipeline)
         monkeypatch.setattr(qmath, "Propagator", CountingPropagator)
+        monkeypatch.setattr(filtercorr, "_trace_generator", counting_generator)
+        if irf is None:
+            monkeypatch.setattr(np.linalg, "solve", no_solve)
         sweep_point(STRONG, "filter_width", 0.29, None, 0.0, 0.0, 0.2, irf)
         assert len(built) == 1
-        assert len(propagators) == (0 if irf is None else 1)
+        assert len(propagators) == len(generators) == (0 if irf is None else 1)
 
     @pytest.mark.parametrize("irf", [None, GaussianIRF(fwhm=1.14)])
     def test_sweep_point_leaves_no_cyclic_garbage(self, irf):
